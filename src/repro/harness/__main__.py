@@ -82,9 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         const="BENCH_PR6.json",
         default=None,
         metavar="PATH",
-        help="time experiment groups (lazy baseline / cold compile / warm "
-        "cache / batched engine / parallel) and write a JSON perf "
-        "snapshot (default path: BENCH_PR6.json)",
+        help="time experiment groups (cold compile / warm cache / batched "
+        "engine / parallel / journal resume / sparse) and write a JSON "
+        "perf snapshot (default path: BENCH_PR6.json)",
     )
     parser.add_argument(
         "--no-substrate-cache",

@@ -104,25 +104,28 @@ def decline_reason(spec: CellSpec) -> BatchDecline | None:
     return None
 
 
-# BatchedCell memo: underlays are memoized per process (lru_cache in
-# repro.harness.experiments), so identity keys are stable; the stored
-# references keep both objects alive so an id can never be recycled
-# while its entry exists.
-_CELLS: dict[tuple[int, int], tuple[object, object, BatchedCell]] = {}
+# BatchedCell memo, keyed on the underlay's identity and the frozen
+# config's *value*: sweeps build a fresh ``VDMConfig()`` per call, and an
+# identity key would add a duplicate cell for each.  Underlays are
+# memoized per process (lru_cache in repro.harness.experiments), so their
+# identity keys are stable; the stored reference keeps the underlay alive
+# so its id can never be recycled while the entry exists.
+# ``experiments.clear_cache`` drops the memo along with the underlays.
+_CELLS: dict[tuple[int, VDMConfig | None], tuple[object, BatchedCell]] = {}
 
 
-def _get_cell(underlay, vdm_config) -> BatchedCell:
-    key = (id(underlay), id(vdm_config))
+def _get_cell(underlay, vdm_config: VDMConfig | None) -> BatchedCell:
+    key = (id(underlay), vdm_config)
     hit = _CELLS.get(key)
     if hit is None:
         cell = BatchedCell(underlay, vdm_config)
-        _CELLS[key] = (underlay, vdm_config, cell)
+        _CELLS[key] = (underlay, cell)
         return cell
-    return hit[2]
+    return hit[1]
 
 
 def clear_cells() -> None:
-    """Drop memoized cells (tests that rebuild underlays in-place use this)."""
+    """Drop memoized cells and the underlays they pin."""
     _CELLS.clear()
 
 

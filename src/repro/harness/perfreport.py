@@ -1,9 +1,7 @@
 """Machine-readable performance snapshots (``BENCH_PR6.json``).
 
-Each snapshot times experiment groups under seven configurations —
+Each snapshot times experiment groups under six configurations —
 
-* ``serial_lazy_s`` — one process, ``REPRO_COMPILED_UNDERLAY=0``: the
-  lazy per-source-Dijkstra substrate path (the pre-PR 4 baseline);
 * ``serial_cold_s`` — one process, compiled underlays, artifact cache
   wiped before every run: pays topology generation, the batched
   all-pairs Dijkstra, *and* the cache store;
@@ -25,17 +23,17 @@ Each snapshot times experiment groups under seven configurations —
   V^2 matrices) in its exact mode, whose output joins the byte-identity
   check like every other mode (PR 8);
 
-— plus *substrate-only* timings (``substrate_lazy_s`` /
-``substrate_cold_s`` / ``substrate_warm_s``): the wall time of just the
-group's substrate builder calls in each mode, which isolates what the
-compilation layer and the cache buy at setup time.
+— plus *substrate-only* timings (``substrate_cold_s`` /
+``substrate_warm_s``): the wall time of just the group's substrate
+builder calls in each mode, which isolates what the artifact cache buys
+at setup time.
 
-Every mode except ``batched`` pins ``REPRO_BATCHED_REPS=0``, so the five
+Every mode except ``batched`` pins ``REPRO_BATCHED_REPS=0``, so the
 legacy figures keep meaning exactly what they meant in the PR 4/5
 reports: scalar-engine wall clock.  ``batched`` leaves the flag unset
 (unlimited batching), and its rendered table JSON joins the byte-for-byte
-identity check against the lazy scalar run — alongside cold, warm,
-parallel, the journal replay, and the sparse run.  A mismatch aborts the
+identity check against the cold scalar run — alongside warm, parallel,
+the journal replay, and the sparse run.  A mismatch aborts the
 report: that check is what licenses reading ``serial_s / batched_s`` as
 pure overhead removed rather than a different computation.  For the same
 reason the report *refuses to run at all* outside the exactness envelope:
@@ -101,7 +99,7 @@ __all__ = [
 class ServiceModeUnsupported(RuntimeError):
     """A perf-report group was requested that runs in live service mode.
 
-    The report times its groups across engine modes (lazy, compiled,
+    The report times its groups across engine modes (cold, warm,
     batched, parallel) and demands bit-identical tables between them; a
     service run is a single asyncio control plane with no alternative
     engines to compare, so timing it here would produce an empty,
@@ -131,7 +129,7 @@ SERVICE_GROUPS: tuple[str, ...] = ("ch8_service",)
 
 #: groups timed when none are requested — one per evaluation environment,
 #: plus the node sweep (several distinct substrates, so it exercises the
-#: compile-vs-lazy gap and the artifact cache hardest)
+#: artifact cache hardest)
 DEFAULT_GROUPS: tuple[str, ...] = (
     "ch3_churn",
     "ch3_nodes",
@@ -139,7 +137,6 @@ DEFAULT_GROUPS: tuple[str, ...] = (
     "ch5_churn",
 )
 
-_COMPILED_ENV = "REPRO_COMPILED_UNDERLAY"
 _BATCHED_ENV = "REPRO_BATCHED_REPS"
 _SPARSE_ENV = "REPRO_SPARSE_UNDERLAY"
 
@@ -151,7 +148,6 @@ TIMING_REPS = 5
 
 #: report field each timed mode lands in (also the cv key for the mode)
 _MODE_FIELDS = {
-    "lazy": "serial_lazy_s",
     "cold": "serial_cold_s",
     "warm": "serial_s",
     "batched": "batched_s",
@@ -232,12 +228,12 @@ def _timed_modes(
 ) -> tuple[
     dict[str, list[float]], dict[str, dict[str, str]], dict[str, float]
 ]:
-    """Time all seven configurations of one group, reps interleaved.
+    """Time all six configurations of one group, reps interleaved.
 
     Shared machines throttle and un-throttle on minute scales, so timing
     one mode's reps back to back hands whichever mode lands in a fast
     epoch an unearned win.  Interleaving runs every mode once per rep —
-    each drift window scores all seven — and the per-mode minimum over
+    each drift window scores all six — and the per-mode minimum over
     reps discards contended epochs for all modes alike.  The full
     per-rep sample lists are returned so the caller can also report each
     figure's spread (cv), alongside each mode's peak RSS in bytes (the
@@ -271,16 +267,15 @@ def _timed_modes(
     """
     from repro.harness import journal as journal_mod
 
-    # (mode, compiled, jobs, wipe_cache,
+    # (mode, jobs, wipe_cache,
     #  REPRO_BATCHED_REPS value, REPRO_SPARSE_UNDERLAY value)
     specs = (
-        ("lazy", False, 1, True, "0", "0"),
-        ("cold", True, 1, True, "0", "0"),
-        ("warm", True, 1, False, "0", "0"),
-        ("batched", True, 1, False, "", "0"),
-        ("parallel", True, jobs, False, "0", "0"),
-        ("resume", True, 1, False, "0", "0"),
-        ("sparse", True, 1, False, "0", "1"),
+        ("cold", 1, True, "0", "0"),
+        ("warm", 1, False, "0", "0"),
+        ("batched", 1, False, "", "0"),
+        ("parallel", jobs, False, "0", "0"),
+        ("resume", 1, False, "0", "0"),
+        ("sparse", 1, False, "0", "1"),
     )
     times: dict[str, list[float]] = {mode: [] for mode, *_ in specs}
     rss: dict[str, float] = {mode: 0.0 for mode, *_ in specs}
@@ -291,22 +286,14 @@ def _timed_modes(
             # Untimed populate pass for the resume mode: record every
             # replication of this group into the private journal once,
             # on the scalar engine (the journal is oracle-produced).
-            with _env(
-                **{_COMPILED_ENV: "1", _BATCHED_ENV: "0", _SPARSE_ENV: "0"}
-            ):
+            with _env(**{_BATCHED_ENV: "0", _SPARSE_ENV: "0"}):
                 exp.clear_cache()
                 shutdown_pool()
                 with journal_mod.run_context(journal_root):
                     runner(dataclasses.replace(preset, jobs=1))
             for _ in range(reps):
-                for mode, compiled, mode_jobs, wipe, batched, sparse in specs:
-                    with _env(
-                        **{
-                            _COMPILED_ENV: "1" if compiled else "0",
-                            _BATCHED_ENV: batched,
-                            _SPARSE_ENV: sparse,
-                        }
-                    ):
+                for mode, mode_jobs, wipe, batched, sparse in specs:
+                    with _env(**{_BATCHED_ENV: batched, _SPARSE_ENV: sparse}):
                         if wipe:
                             _wipe(cache_root)
                         exp.clear_cache()
@@ -391,25 +378,23 @@ def _time_substrates(
 ) -> dict[str, float] | None:
     """Best-of-reps wall time of one pass over a group's substrate builders.
 
-    ``lazy`` builds the uncompiled underlay; ``cold`` compiles with an
-    empty cache (generation + Dijkstra + store); ``warm`` rides on the
-    cache the cold pass just populated, so it times pure mmap loads.
-    Reps interleave the three modes for the same drift-fairness reason
-    as :func:`_timed_modes`.
+    ``cold`` compiles with an empty cache (generation + Dijkstra +
+    store); ``warm`` rides on the cache the cold pass just populated, so
+    it times pure mmap loads.  Reps interleave the two modes for the same
+    drift-fairness reason as :func:`_timed_modes`.
     """
     if not builders:
         return None
-    best = {"lazy": float("inf"), "cold": float("inf"), "warm": float("inf")}
+    best = {"cold": float("inf"), "warm": float("inf")}
     with _env(**{CACHE_DIR_ENV: str(cache_root), CACHE_ENABLED_ENV: "1"}):
         for _ in range(reps):
-            for mode in ("lazy", "cold", "warm"):
-                with _env(**{_COMPILED_ENV: "0" if mode == "lazy" else "1"}):
-                    if mode != "warm":
-                        _wipe(cache_root)
-                    with Stopwatch() as sw:
-                        for build in builders:
-                            build()
-                    best[mode] = min(best[mode], sw.elapsed)
+            for mode in ("cold", "warm"):
+                if mode == "cold":
+                    _wipe(cache_root)
+                with Stopwatch() as sw:
+                    for build in builders:
+                        build()
+                best[mode] = min(best[mode], sw.elapsed)
     return best
 
 
@@ -424,7 +409,7 @@ def generate_perf_report(
     """Time the requested groups and write the snapshot to ``path``.
 
     Raises :class:`RuntimeError` if any mode's run of any group disagrees
-    with the lazy scalar run on any table — a timing number for a mode
+    with the cold scalar run on any table — a timing number for a mode
     that changes results would be meaningless, so the report refuses to
     be written.  For the same reason it refuses to *start* under
     ``REPRO_SUBSTRATE_DTYPE=float32`` or ``REPRO_SPARSE_EXACT=0``: both
@@ -461,7 +446,7 @@ def generate_perf_report(
         )
     reps = timing_reps(reps)
     report: dict = {
-        "schema": "repro-perf-report/6",
+        "schema": "repro-perf-report/7",
         "preset": preset.name,
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
@@ -474,9 +459,8 @@ def generate_perf_report(
             f"--perf-groups {','.join(names)}"
         ),
         "notes": (
-            "serial_lazy_s = jobs=1 with REPRO_COMPILED_UNDERLAY=0 (lazy "
-            "per-source-Dijkstra baseline); serial_cold_s = compiled "
-            "underlays with the artifact cache wiped each run; serial_s = "
+            "serial_cold_s = compiled underlays with the artifact cache "
+            "wiped each run (the identity reference); serial_s = "
             "compiled underlays over a warm cache (the default scalar "
             "mode, gated in CI); batched_s = warm cache with the batched "
             "multi-replication engine enabled (REPRO_BATCHED_REPS unset; "
@@ -487,7 +471,7 @@ def generate_perf_report(
             "warm cache with REPRO_SPARSE_UNDERLAY=1 (CSR sparse "
             "substrates, exact rows; every other mode pins the flag to "
             "0).  substrate_*_s time only the group's substrate builder "
-            "calls in the lazy/cold/warm modes.  Each figure is the "
+            "calls in the cold/warm modes.  Each figure is the "
             "minimum wall time over timing_reps reps, with the modes "
             "interleaved inside each rep so host-speed drift on shared "
             "machines cannot favor one mode; cv maps each figure to its "
@@ -497,7 +481,7 @@ def generate_perf_report(
             "kernel high-water mark before each run; when rss_resettable "
             "is false the figures are process-lifetime maxima and should "
             "not be gated.  The parallel RSS covers the parent process "
-            "only.  outputs_identical means lazy, cold, warm, batched, "
+            "only.  outputs_identical means cold, warm, batched, "
             "parallel, resume, and sparse all produced byte-identical "
             "table JSON; the report refuses to run at all under "
             "REPRO_SUBSTRATE_DTYPE=float32 or REPRO_SPARSE_EXACT=0.  "
@@ -512,9 +496,8 @@ def generate_perf_report(
             times, outputs, rss = _timed_modes(
                 runner, preset, jobs=jobs, cache_root=cache_root, reps=reps
             )
-            lazy_out = outputs["lazy"]
+            ref_out = outputs["cold"]
             for mode_name in (
-                "cold",
                 "warm",
                 "batched",
                 "parallel",
@@ -522,11 +505,11 @@ def generate_perf_report(
                 "sparse",
             ):
                 out = outputs[mode_name]
-                if out != lazy_out:
+                if out != ref_out:
                     differing = sorted(
                         t
-                        for t in out.keys() | lazy_out.keys()
-                        if out.get(t) != lazy_out.get(t)
+                        for t in out.keys() | ref_out.keys()
+                        if out.get(t) != ref_out.get(t)
                     )
                     raise RuntimeError(
                         f"group {name!r}: mode {mode_name!r} changed the "
@@ -534,7 +517,7 @@ def generate_perf_report(
                         "write a perf report for divergent modes"
                     )
             best = {mode: min(samples) for mode, samples in times.items()}
-            lazy, cold = best["lazy"], best["cold"]
+            cold = best["cold"]
             warm, batched = best["warm"], best["batched"]
             parallel, resume = best["parallel"], best["resume"]
             sparse = best["sparse"]
@@ -548,7 +531,6 @@ def generate_perf_report(
                 cv = _cv(times[mode])
                 cv_entry[field_name] = round(cv, 4) if cv is not None else None
             entry = {
-                "serial_lazy_s": round(lazy, 3),
                 "serial_cold_s": round(cold, 3),
                 "serial_s": round(warm, 3),
                 "batched_s": round(batched, 3),
@@ -558,8 +540,6 @@ def generate_perf_report(
                 "workers": jobs,
                 "outputs_identical": True,
                 "cv": cv_entry,
-                "speedup_compiled_cold": round(lazy / cold, 2),
-                "speedup_compiled_warm": round(lazy / warm, 2),
                 "speedup_batched_vs_warm": round(warm / batched, 2),
                 "speedup_parallel_vs_serial": round(warm / parallel, 2),
                 "speedup_sparse_vs_warm": round(warm / sparse, 2),
@@ -569,7 +549,6 @@ def generate_perf_report(
             if subs:
                 entry.update(
                     {
-                        "substrate_lazy_s": round(subs["lazy"], 4),
                         "substrate_cold_s": round(subs["cold"], 4),
                         "substrate_warm_s": round(subs["warm"], 4),
                         "substrate_speedup_warm_vs_cold": round(

@@ -29,8 +29,8 @@ lets a single process chart 10k+ members inside a couple of GiB.
 
 Two kernels build the same trees (PR 9, DESIGN.md §13).  The **scalar**
 kernel is the reference: a per-child dict walk issuing one ``rtt_ms``
-query at a time.  The **batched** kernel (the default,
-``REPRO_SCALE_KERNEL`` to ablate) keeps tree state in preallocated
+query at a time.  The **batched** kernel (the default; ``kernel="scalar"``
+selects the reference) keeps tree state in preallocated
 child-slot arrays, classifies through the vectorized
 :mod:`repro.core.cases` array core, and — on sparse
 substrates — reads router-level Dijkstra rows straight from a
@@ -58,7 +58,6 @@ import numpy as np
 from repro.core.cases import Case, _case_codes, classify_children
 from repro.sim.network import Underlay
 from repro.topology.transit_stub import TransitStubConfig
-from repro.util.envflags import scale_kernel
 
 __all__ = [
     "ScaleTree",
@@ -178,8 +177,8 @@ def build_scale_tree(
     consume a slot.  Deterministic: every tie-break matches the agent
     code (distance first, lowest id second).
 
-    ``kernel`` overrides ``REPRO_SCALE_KERNEL`` (``"batched"`` /
-    ``"scalar"``); ``prefetch_block`` overrides ``REPRO_SPARSE_PREFETCH``
+    ``kernel`` selects ``"batched"`` (the default) or ``"scalar"``;
+    ``prefetch_block`` overrides ``REPRO_SPARSE_PREFETCH``
     for the batched kernel's row plan.  Both kernels are byte-identical;
     underlays that can serve neither router rows nor dense delay rows
     (the lazy path) always walk scalar.
@@ -197,8 +196,7 @@ def build_scale_tree(
         raise ValueError(
             f"underlay has {len(hosts)} hosts, cannot join {n_members}"
         )
-    mode = kernel if kernel is not None else scale_kernel()
-    if mode == "batched":
+    if kernel != "scalar":
         rows = _make_row_provider(underlay, n_members, prefetch_block)
         if rows is not None:
             try:
@@ -745,8 +743,7 @@ def prim_mst_parents(
     member's row exactly once (whenever that member enters the tree), so
     prefetching the attachment routers in host order computes the same
     rows the demand path would, just in multi-source blocks.  Bitwise
-    identical either way; ``kernel="scalar"`` (or
-    ``REPRO_SCALE_KERNEL=scalar``) forces the demand path.
+    identical either way; ``kernel="scalar"`` forces the demand path.
     """
     if n_members < 2:
         raise ValueError(f"need at least 2 members, got {n_members}")
@@ -757,8 +754,7 @@ def prim_mst_parents(
         )
     if kernel not in (None, "batched", "scalar"):
         raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
-    mode = kernel if kernel is not None else scale_kernel()
-    sparse = _sparse_exact_indexed(underlay) if mode == "batched" else None
+    sparse = _sparse_exact_indexed(underlay) if kernel != "scalar" else None
     if sparse is not None:
         return _prim_mst_sparse_batched(sparse, n_members)
     return _prim_mst_scalar(underlay, n_members)
@@ -870,7 +866,7 @@ def scale_tree_metrics(
     link count), for cells where only stretch/depth are charted.
 
     On exact sparse underlays the batched kernel (default;
-    ``kernel="scalar"`` / ``REPRO_SCALE_KERNEL=scalar`` to ablate)
+    ``kernel="scalar"`` selects the reference)
     replaces the per-member ``path_links`` expansion with
     predecessor-array accumulation into ``np.bincount``/``np.unique``
     over canonical link keys, and serves every row through the block
@@ -879,8 +875,7 @@ def scale_tree_metrics(
     """
     if kernel not in (None, "batched", "scalar"):
         raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
-    mode = kernel if kernel is not None else scale_kernel()
-    if mode == "batched":
+    if kernel != "scalar":
         result = _scale_tree_metrics_batched(underlay, parents, include_stress)
         if result is not None:
             return result

@@ -91,11 +91,9 @@ def _cell_env() -> dict[str, str]:
     env[CACHE_ENABLED_ENV] = "0"
     env["REPRO_SPARSE_EXACT"] = "1"
     env.pop("REPRO_SUBSTRATE_DTYPE", None)
-    # The builder reads the explicit ``sparse=`` argument, and the cell
-    # passes the kernel explicitly too; pin the flags anyway so stray
-    # settings can't change unrelated code paths.
+    # The builder reads the explicit ``sparse=`` argument; pin the flags
+    # anyway so stray settings can't change unrelated code paths.
     env.pop("REPRO_SPARSE_UNDERLAY", None)
-    env.pop("REPRO_SCALE_KERNEL", None)
     env.pop("REPRO_SPARSE_PREFETCH", None)
     return env
 

@@ -12,11 +12,12 @@ the transit-stub path returns a :class:`~repro.sim.compiled.CompiledUnderlay`
 consult the content-addressed artifact cache of
 :mod:`repro.util.artifacts`, keyed by the complete build recipe, so a
 warm cache skips topology generation and compilation entirely and loads
-memory-mapped arrays instead.  ``REPRO_COMPILED_UNDERLAY=0`` restores the
-lazy :class:`~repro.sim.network.RouterUnderlay` path (and bypasses the
-cache); ``REPRO_SUBSTRATE_CACHE=0`` keeps compilation but disables the
-disk cache.  Compiled and lazy substrates answer every query
-byte-identically — ``tests/test_compiled_underlay.py`` pins that.
+memory-mapped arrays instead.  ``REPRO_SUBSTRATE_CACHE=0`` keeps
+compilation but disables the disk cache.  Compiled substrates answer
+every query byte-identically to the lazy
+:class:`~repro.sim.network.RouterUnderlay` built from the same recipe —
+``tests/test_compiled_underlay.py`` pins that against the lazy builder in
+``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.compiled import ARTIFACT_SCHEMA, CompiledUnderlay
-from repro.sim.network import MatrixUnderlay, RouterUnderlay
+from repro.sim.network import MatrixUnderlay
 from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay, select_landmarks
 from repro.topology.geo import GeoSite
 from repro.topology.linkmodel import (
@@ -43,11 +44,7 @@ from repro.topology.transit_stub import (
     stub_routers,
 )
 from repro.util import artifacts
-from repro.util.envflags import (
-    compiled_underlay_enabled,
-    sparse_underlay_enabled,
-    substrate_dtype,
-)
+from repro.util.envflags import sparse_underlay_enabled, substrate_dtype
 from repro.util.rngtools import spawn_rng
 
 __all__ = [
@@ -77,7 +74,7 @@ def build_transit_stub_underlay(
     link_errors: LinkErrorConfig | None = None,
     access_delay_ms: float = 0.5,
     sparse: bool | None = None,
-) -> RouterUnderlay:
+) -> CompiledUnderlay | SparseUnderlay:
     """Generate a transit-stub graph and attach ``n_hosts`` overlay hosts.
 
     Hosts get ids ``0..n_hosts-1`` and are attached to stub routers chosen
@@ -85,15 +82,14 @@ def build_transit_stub_underlay(
     sweep exceeds the stub-router count, at which point routers are
     shared).  Pass ``link_errors`` to enable the Chapter 4 loss model.
 
-    Returns a :class:`CompiledUnderlay` (possibly loaded straight from the
-    artifact cache) unless ``REPRO_COMPILED_UNDERLAY=0``, in which case
-    the historical lazy :class:`RouterUnderlay` is built instead.
+    Returns a :class:`CompiledUnderlay`, possibly loaded straight from the
+    artifact cache.
 
     ``sparse=True`` (or ``REPRO_SPARSE_UNDERLAY=1``) builds a
     :class:`~repro.sim.sparse.SparseUnderlay` instead: CSR edge triplets
     and on-demand Dijkstra rows, never a V^2 matrix — the only substrate
     path that scales past ~10k routers.  Exact sparse substrates answer
-    every query byte-identically to the dense and lazy paths.
+    every query byte-identically to the dense path.
     """
     if n_hosts < 2:
         raise ValueError(f"need at least 2 hosts, got {n_hosts}")
@@ -108,13 +104,6 @@ def build_transit_stub_underlay(
             link_errors=link_errors,
             access_delay_ms=access_delay_ms,
         )
-
-    if not compiled_underlay_enabled():
-        graph = generate_transit_stub(config, seed=spawn_rng(seed, "topology"))
-        if link_errors is not None:
-            assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
-        attachments = _transit_stub_attachments(graph, n_hosts, seed)
-        return RouterUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
 
     key = artifacts.artifact_key(
         {
@@ -165,7 +154,7 @@ def _build_sparse_transit_stub(
     The topology generator, the error-assignment draws, and the host
     attachment draws all consume the same RNG streams as the dense path,
     so an exact sparse substrate is query-for-query byte-identical to the
-    compiled/lazy builds of the same recipe.  Landmarks are always
+    compiled build of the same recipe.  Landmarks are always
     selected and persisted; whether they are *used* is decided at
     construction time by ``REPRO_SPARSE_EXACT`` (default: never).
     """
@@ -293,7 +282,7 @@ def build_planetlab_underlay(
     the artifact cache: warm runs skip pool generation and the pairwise
     RTT synthesis and load the matrices with ``mmap_mode="r"``.
     """
-    use_cache = compiled_underlay_enabled() and artifacts.cache_enabled()
+    use_cache = artifacts.cache_enabled()
     key = artifacts.artifact_key(
         {
             "kind": "planetlab",

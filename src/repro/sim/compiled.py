@@ -29,10 +29,8 @@ Every answer is **byte-identical** to what ``RouterUnderlay`` returns for
 the same graph: the batched Dijkstra rows equal the per-source rows
 (same algorithm, same CSR), the delay association matches, and the error
 products are computed by the very same function.  The inherited lazy
-implementations remain available as the ``_reference_*`` oracle; the
-equivalence suite in ``tests/test_compiled_underlay.py`` pins it, and
-``REPRO_COMPILED_UNDERLAY=0`` makes the substrate builders skip this
-class entirely.
+implementations are the reference oracle (``tests/oracles``); the
+equivalence suite in ``tests/test_compiled_underlay.py`` pins it.
 
 Compiled arrays round-trip through :mod:`repro.util.artifacts` via
 :meth:`CompiledUnderlay.to_artifact` / :meth:`from_artifact`, so repeated
@@ -278,8 +276,7 @@ class CompiledUnderlay(RouterUnderlay):
         if cached is not None:
             return cached
         links = self._build_path_links(a, b)
-        if self._cache_enabled:
-            self._cpath_cache[key] = links
+        self._cpath_cache[key] = links
         return links
 
     def path_error(self, a: int, b: int) -> float:
@@ -299,25 +296,8 @@ class CompiledUnderlay(RouterUnderlay):
             value = 0.0
         else:
             value = float(self._perr[ia, ib])
-        if self._cache_enabled:
-            self._cerr_cache[key] = value
+        self._cerr_cache[key] = value
         return value
-
-    # -- reference oracle ---------------------------------------------------
-    #
-    # The inherited lazy implementations, exposed under stable names so
-    # equivalence tests (and debugging sessions) can interrogate both
-    # code paths on one instance.  They use the lazy per-source Dijkstra
-    # dict, which is disjoint from the compiled arrays.
-
-    def _reference_delay_ms(self, a: int, b: int) -> float:
-        return RouterUnderlay.delay_ms(self, a, b)
-
-    def _reference_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
-        return RouterUnderlay.path_links(self, a, b)
-
-    def _reference_path_error(self, a: int, b: int) -> float:
-        return RouterUnderlay.path_error(self, a, b)
 
     # -- artifact round-trip -------------------------------------------------
 

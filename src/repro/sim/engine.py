@@ -19,13 +19,6 @@ Fire-and-forget callers that never cancel (the bulk of message
 deliveries) can skip the Event allocation entirely via
 :meth:`Simulator.schedule_fire_in`, which pushes ``event = None``.
 
-``REPRO_INCREMENTAL_TREE=0`` (the PR-ablation baseline, read at
-construction) restores the pre-optimization representation — Event
-objects compared directly in the heap via :meth:`Event.__lt__` on the
-same ``(time, priority, seq)`` key — so perf snapshots can measure what
-the tuple layout buys.  Both layouts order events identically, so results
-are bit-for-bit the same.
-
 The engine knows nothing about networks or protocols; everything above it
 talks in callbacks.
 """
@@ -36,8 +29,6 @@ import heapq
 import itertools
 import math
 from typing import Callable
-
-from repro.util.envflags import incremental_tree_enabled
 
 
 class Event:
@@ -64,14 +55,6 @@ class Event:
         """Mark this event so it is skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        # Only exercised by the legacy (non-tuple) heap layout.
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time}, prio={self.priority}, seq={self.seq}{state})"
@@ -95,7 +78,6 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._tuple_heap = incremental_tree_enabled()
         self._queue: list = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -152,17 +134,11 @@ class Simulator:
         event: Event | None,
     ) -> None:
         """The single heap-insertion point every ``schedule_*`` call funnels
-        through: tuple-vs-legacy layout dispatch plus the scheduled-event
-        counter live here and nowhere else.  ``event`` is ``None`` only for
-        fire-and-forget tuples (the legacy layout always carries an
-        :class:`Event`, because its callers fall back to :meth:`schedule_in`
-        before reaching this point).  Alternative engines that mirror this
-        one's event ordering (:mod:`repro.sim.batched`) hook their
-        scheduling at the same seam."""
-        if self._tuple_heap:
-            heapq.heappush(self._queue, (time, priority, seq, callback, event))
-        else:
-            heapq.heappush(self._queue, event)
+        through: the heap push plus the scheduled-event counter live here
+        and nowhere else.  ``event`` is ``None`` only for fire-and-forget
+        tuples.  Alternative engines that mirror this one's event ordering
+        (:mod:`repro.sim.batched`) hook their scheduling at the same seam."""
+        heapq.heappush(self._queue, (time, priority, seq, callback, event))
         self._events_scheduled += 1
 
     def schedule_in(
@@ -187,12 +163,8 @@ class Simulator:
         cancel: no :class:`Event` is allocated, the bare callback rides
         in the heap tuple.  Consumes a sequence number exactly like
         :meth:`schedule`, so event ordering is identical whichever entry
-        point scheduled a given callback.  Falls back to
-        :meth:`schedule_in` under the legacy (ablation) heap layout.
+        point scheduled a given callback.
         """
-        if not self._tuple_heap:
-            self.schedule_in(delay, callback, priority=priority)
-            return
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
@@ -208,10 +180,7 @@ class Simulator:
         Hot-path variant of :meth:`schedule_in` for callers that *do*
         cancel (request timeouts): same validation and sequence-number
         consumption, but one call layer instead of two and no label.
-        Falls back to :meth:`schedule_in` under the legacy heap layout.
         """
-        if not self._tuple_heap:
-            return self.schedule_in(delay, callback, priority=priority)
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
@@ -226,37 +195,22 @@ class Simulator:
         self._drop_cancelled()
         if not self._queue:
             return math.inf
-        head = self._queue[0]
-        return head[0] if self._tuple_heap else head.time
+        return self._queue[0][0]
 
     def _drop_cancelled(self) -> None:
         queue = self._queue
-        if self._tuple_heap:
-            while queue:
-                ev = queue[0][4]
-                if ev is None or not ev.cancelled:
-                    break
-                heapq.heappop(queue)
-        else:
-            while queue and queue[0].cancelled:
-                heapq.heappop(queue)
-
-    def _fire(self, ev: Event) -> None:
-        self._now = ev.time
-        self._events_processed += 1
-        ev.callback()
+        while queue:
+            ev = queue[0][4]
+            if ev is None or not ev.cancelled:
+                break
+            heapq.heappop(queue)
 
     def _fire_next(self) -> None:
         """Pop and run the head entry (caller guarantees one is live)."""
         entry = heapq.heappop(self._queue)
-        if self._tuple_heap:
-            self._now = entry[0]
-            self._events_processed += 1
-            entry[3]()
-        else:
-            self._now = entry.time
-            self._events_processed += 1
-            entry.callback()
+        self._now = entry[0]
+        self._events_processed += 1
+        entry[3]()
 
     def step(self) -> bool:
         """Run the next live event.  Returns False when none remain."""
@@ -291,37 +245,25 @@ class Simulator:
                 f"horizon {horizon} precedes current time {self._now}"
             )
         count = 0
-        if self._tuple_heap:
-            # Pop-first loop: popping and inspecting the entry once beats
-            # peeking the head (two subscripts) and popping it again.  An
-            # entry past the horizon is pushed back — once per call, not
-            # per event.
-            queue = self._queue
-            pop = heapq.heappop
-            while queue:
-                entry = pop(queue)
-                if entry[0] > horizon:
-                    heapq.heappush(queue, entry)
-                    break
-                ev = entry[4]
-                if ev is not None and ev.cancelled:
-                    continue
-                self._now = entry[0]
-                self._events_processed += 1
-                entry[3]()
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return count
-        else:
-            queue = self._queue
-            while True:
-                while queue and queue[0].cancelled:
-                    heapq.heappop(queue)
-                if not queue or queue[0].time > horizon:
-                    break
-                self._fire(heapq.heappop(queue))
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return count
+        # Pop-first loop: popping and inspecting the entry once beats
+        # peeking the head (two subscripts) and popping it again.  An
+        # entry past the horizon is pushed back — once per call, not per
+        # event.
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            entry = pop(queue)
+            if entry[0] > horizon:
+                heapq.heappush(queue, entry)
+                break
+            ev = entry[4]
+            if ev is not None and ev.cancelled:
+                continue
+            self._now = entry[0]
+            self._events_processed += 1
+            entry[3]()
+            count += 1
+            if max_events is not None and count >= max_events:
+                return count
         self._now = horizon
         return count

@@ -31,11 +31,10 @@ Exactness discipline (DESIGN.md §12):
   them (the PR 6 decline pattern), and the landmark test asserts the
   declared bound empirically.
 
-The per-ordered-pair memo dicts mirror the lazy underlay's (gated by the
-same ``REPRO_UNDERLAY_CACHE`` flag) but are *bounded*: at scale the set of
-queried pairs is itself O(members · probes), so each memo clears itself
-at ``_PAIR_MEMO_CAP`` entries — a transparent cache policy, never a
-correctness knob.
+The per-ordered-pair memo dicts mirror the lazy underlay's but are
+*bounded*: at scale the set of queried pairs is itself O(members ·
+probes), so each memo clears itself at ``_PAIR_MEMO_CAP`` entries — a
+transparent cache policy, never a correctness knob.
 
 Prefetching (PR 9): when a caller knows its source routers up front — the
 static-join walk knows the whole join order before the first query — it
@@ -64,7 +63,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import csgraph
 
-from repro.sim.network import LinkId, Underlay, _cache_enabled_from_env, _split_link
+from repro.sim.network import LinkId, Underlay, _split_link
 from repro.util.artifacts import Artifact
 from repro.util.envflags import sparse_exact, sparse_prefetch_block, sparse_row_cache
 
@@ -356,7 +355,6 @@ class SparseUnderlay(Underlay):
         self._plan: RowPlan | None = None  # active prefetch plan, if any
         self.demand_rows = 0  # instrumentation: demand-time Dijkstra runs
 
-        self._cache_enabled = _cache_enabled_from_env()
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
@@ -605,10 +603,9 @@ class SparseUnderlay(Underlay):
             base = self.router_distance(self.attachments[a], self.attachments[b])
             # Exact left-to-right association of the lazy oracle.
             value = self._access_delay[a] + base + self._access_delay[b]
-        if self._cache_enabled:
-            if len(self._delay_cache) >= _PAIR_MEMO_CAP:
-                self._delay_cache.clear()
-            self._delay_cache[key] = value
+        if len(self._delay_cache) >= _PAIR_MEMO_CAP:
+            self._delay_cache.clear()
+        self._delay_cache[key] = value
         return value
 
     def delay_row(self, a: int) -> list[float] | None:
@@ -680,10 +677,9 @@ class SparseUnderlay(Underlay):
                 parts.append(("router", min(u, v), max(u, v)))
             parts.append(("access", b))
             links = tuple(parts)
-        if self._cache_enabled:
-            if len(self._path_cache) >= _PAIR_MEMO_CAP:
-                self._path_cache.clear()
-            self._path_cache[key] = links
+        if len(self._path_cache) >= _PAIR_MEMO_CAP:
+            self._path_cache.clear()
+        self._path_cache[key] = links
         return links
 
     def path_error(self, a: int, b: int) -> float:
@@ -697,10 +693,9 @@ class SparseUnderlay(Underlay):
             value = 0.0 if a == b else self._compute_path_error(self.path_links(a, b))
         else:
             value = self._compute_path_error(self.path_links(a, b))
-        if self._cache_enabled:
-            if len(self._error_cache) >= _PAIR_MEMO_CAP:
-                self._error_cache.clear()
-            self._error_cache[key] = value
+        if len(self._error_cache) >= _PAIR_MEMO_CAP:
+            self._error_cache.clear()
+        self._error_cache[key] = value
         return value
 
     def _edge_value(self, matrix: sp.csr_matrix, u: int, v: int) -> float:

@@ -1,23 +1,11 @@
 """Process-wide feature toggles read from the environment.
 
-Performance work in this repo always ships with an ablation switch so the
-perf report can measure exactly what an optimization buys and tests can
-assert the optimized and reference code paths agree bit for bit:
-
-* ``REPRO_UNDERLAY_CACHE=0`` — disable the per-pair underlay memos
-  (read in :mod:`repro.sim.network`, PR 1);
-* ``REPRO_INCREMENTAL_TREE=0`` — disable the incrementally maintained
-  tree state: :class:`~repro.protocols.base.TreeRegistry` falls back to
-  parent-chain walks, the invariant checker full-sweeps after every
-  mutation, and the delivery accountant recomputes whole path products;
-* ``REPRO_COMPILED_UNDERLAY=0`` — disable underlay compilation: the
-  substrate builders return the lazy per-source-Dijkstra
-  :class:`~repro.sim.network.RouterUnderlay` instead of a
-  :class:`~repro.sim.compiled.CompiledUnderlay`, and the PlanetLab
-  builder regenerates its pool instead of consulting the artifact cache
-  (PR 4).  The related cache knobs (``REPRO_CACHE_DIR``,
-  ``REPRO_SUBSTRATE_CACHE``, ``REPRO_CACHE_MAX_BYTES``) live in
-  :mod:`repro.util.artifacts`.
+Optimizations that have shipped run on one code path: their reference
+implementations live in ``tests/oracles``, where the equivalence tests
+compare against them, and their measured speedups stay on record in the
+committed ``BENCH_PR*.json`` snapshots.  The artifact-cache knobs
+(``REPRO_CACHE_DIR``, ``REPRO_SUBSTRATE_CACHE``,
+``REPRO_CACHE_MAX_BYTES``) live in :mod:`repro.util.artifacts`.
 
 Robustness work ships with knobs too (PR 5) — all inert by default so
 the fault-free hot path is unchanged:
@@ -40,7 +28,8 @@ the fault-free hot path is unchanged:
   to a JSON file) injected by the supervisor for self-tests; see
   :mod:`repro.harness.chaos`.  Unset = no chaos, zero overhead.
 
-Batched execution ships with the same ablation discipline (PR 6):
+Batched execution keeps its ablation knob, because the batched
+engine covers only part of the configuration space:
 
 * ``REPRO_BATCHED_REPS`` — cap the replications the batched
   multi-replication engine (:mod:`repro.harness.batchrun`) takes per
@@ -80,11 +69,6 @@ The scale kernels (PR 9) add two more:
   prefetcher is *exact*, never speculative: callers hand it the full
   ordered source plan, so a prefetched row is always a row the scalar
   path would have computed anyway, with bit-identical contents.
-* ``REPRO_SCALE_KERNEL`` — join-walk kernel selector for
-  :func:`repro.harness.scale.build_scale_tree`: ``batched`` (default;
-  array-native state, vectorized classification, prefetched rows) or
-  ``scalar`` (the per-child reference walk the batched kernel must
-  match byte for byte — the ablation baseline and equivalence oracle).
 
 Flags are read at object construction time, not per call, so a running
 session never changes behavior mid-flight.
@@ -99,11 +83,8 @@ __all__ = [
     "FLAG_REGISTRY",
     "FlagSpec",
     "batched_reps",
-    "compiled_underlay_enabled",
-    "incremental_tree_enabled",
     "interrupt_grace_s",
     "retry_backoff_s",
-    "scale_kernel",
     "sparse_exact",
     "sparse_prefetch_block",
     "sparse_row_cache",
@@ -132,15 +113,6 @@ class FlagSpec:
 #: last read site was deleted).  Keep descriptions to one line; the
 #: module docstring above carries the full story.
 FLAG_REGISTRY: dict[str, FlagSpec] = {
-    "REPRO_UNDERLAY_CACHE": FlagSpec(
-        "1", "per-pair underlay delay/path memos", "repro.sim.network"
-    ),
-    "REPRO_INCREMENTAL_TREE": FlagSpec(
-        "1", "incrementally maintained tree state", "repro.util.envflags"
-    ),
-    "REPRO_COMPILED_UNDERLAY": FlagSpec(
-        "1", "compile substrates up front (vs lazy Dijkstra)", "repro.util.envflags"
-    ),
     "REPRO_CACHE_DIR": FlagSpec(
         "~/.cache/repro-vdm", "artifact-cache root directory", "repro.util.artifacts"
     ),
@@ -208,25 +180,11 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "64", "multi-source Dijkstra prefetch block (0 = demand-time)",
         "repro.util.envflags",
     ),
-    "REPRO_SCALE_KERNEL": FlagSpec(
-        "batched", "join-walk kernel: batched or the scalar oracle",
-        "repro.util.envflags",
-    ),
     "REPRO_SUBSTRATE_DTYPE": FlagSpec(
         "float64", "compiled-substrate array dtype (float32 leaves exactness)",
         "repro.util.envflags",
     ),
 }
-
-
-def incremental_tree_enabled() -> bool:
-    """Whether incrementally maintained tree state is enabled (default on)."""
-    return os.environ.get("REPRO_INCREMENTAL_TREE", "1").lower() not in _FALSE_VALUES
-
-
-def compiled_underlay_enabled() -> bool:
-    """Whether substrate builders compile underlays up front (default on)."""
-    return os.environ.get("REPRO_COMPILED_UNDERLAY", "1").lower() not in _FALSE_VALUES
 
 
 def batched_reps() -> int | None:
@@ -361,23 +319,6 @@ def sparse_prefetch_block(requested: int | None = None) -> int:
     if value < 0:
         raise ValueError(f"REPRO_SPARSE_PREFETCH must be >= 0, got {value}")
     return value
-
-
-def scale_kernel() -> str:
-    """Join-walk kernel selector (``REPRO_SCALE_KERNEL``).
-
-    ``batched`` (the default) runs the array-native walk with prefetched
-    Dijkstra rows; ``scalar`` forces the per-child reference walk, which
-    is the equivalence oracle the batched kernel is tested against.
-    """
-    raw = os.environ.get("REPRO_SCALE_KERNEL", "").strip().lower()
-    if not raw:
-        return "batched"
-    if raw not in ("batched", "scalar"):
-        raise ValueError(
-            f"REPRO_SCALE_KERNEL must be batched or scalar, got {raw!r}"
-        )
-    return raw
 
 
 def substrate_dtype() -> str:

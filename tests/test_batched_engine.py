@@ -274,3 +274,43 @@ def test_ch5_cell_regression_pin():
     res = _scalar(underlay, cfg)
     got = {name: extract(res) for name, extract in CH3_METRICS.items()}
     assert got == _CH5_PIN
+
+
+# ---------------------------------------------------------------------------
+# cell memo stays bounded across sweeps
+# ---------------------------------------------------------------------------
+
+
+def test_cell_memo_keys_on_config_value():
+    """Equal configs built separately share one cell."""
+    from repro.harness import batchrun
+
+    clear_cells()
+    underlay = _ts_underlay()
+    first = batchrun._get_cell(underlay, VDMConfig())
+    assert batchrun._get_cell(underlay, VDMConfig()) is first
+    assert len(batchrun._CELLS) == 1
+    clear_cells()
+
+
+def test_repeated_sweeps_leave_cell_memo_bounded(monkeypatch):
+    """Each sweep builds a fresh ``VDMConfig()`` and, after
+    ``clear_cache``, fresh underlays; neither may grow the memo."""
+    from repro.harness import batchrun
+    from repro.harness import experiments as exp
+    from repro.harness.presets import PRESETS
+
+    monkeypatch.delenv("REPRO_BATCHED_REPS", raising=False)
+    preset = PRESETS["smoke"]
+    exp.clear_cache()
+    sizes = []
+    try:
+        for _ in range(3):
+            exp.ch3_degree_tables(preset)
+            sizes.append(len(batchrun._CELLS))
+            exp.clear_cache()
+            assert batchrun._CELLS == {}
+    finally:
+        exp.clear_cache()
+    assert sizes[0] > 0
+    assert sizes == [sizes[0]] * 3

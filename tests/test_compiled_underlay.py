@@ -5,8 +5,8 @@ paths are computed, never *what* any query returns.  This suite pins
 that: a hypothesis sweep over random transit-stub configurations compares
 every ordered host pair across both implementations, the artifact cache
 round-trip is checked to be lossless, and a whole smoke-scale experiment
-group is rendered under both ``REPRO_COMPILED_UNDERLAY`` settings and
-compared as table JSON.
+group is rendered with compiled substrates and with the lazy builder from
+``tests/oracles`` and compared as table JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness import experiments as exp
+from repro.harness import substrates
 from repro.harness.presets import PRESETS
 from repro.harness.substrates import (
     _planetlab_loss_matrix,
@@ -29,6 +30,13 @@ from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
 from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
+
+from tests.oracles import (
+    build_lazy_transit_stub_underlay,
+    reference_delay_ms,
+    reference_path_error,
+    reference_path_links,
+)
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -81,12 +89,12 @@ class TestEquivalence:
         hosts = sorted(compiled.attachments)
         for a in hosts:
             for b in hosts:
-                assert compiled.delay_ms(a, b) == compiled._reference_delay_ms(a, b)
-                assert compiled.path_links(a, b) == compiled._reference_path_links(
-                    a, b
+                assert compiled.delay_ms(a, b) == reference_delay_ms(compiled, a, b)
+                assert compiled.path_links(a, b) == reference_path_links(
+                    compiled, a, b
                 )
-                assert compiled.path_error(a, b) == compiled._reference_path_error(
-                    a, b
+                assert compiled.path_error(a, b) == reference_path_error(
+                    compiled, a, b
                 )
 
     def test_router_queries_match(self):
@@ -140,9 +148,9 @@ class TestArtifactRoundtrip:
         hosts = sorted(restored.attachments)
         for a in hosts[:5]:
             for b in hosts:
-                assert restored.delay_ms(a, b) == restored._reference_delay_ms(a, b)
-                assert restored.path_error(a, b) == restored._reference_path_error(
-                    a, b
+                assert restored.delay_ms(a, b) == reference_delay_ms(restored, a, b)
+                assert restored.path_error(a, b) == reference_path_error(
+                    restored, a, b
                 )
 
     def test_rejects_foreign_artifact(self):
@@ -172,13 +180,7 @@ class TestBuilders:
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_COMPILED_UNDERLAY", raising=False)
         monkeypatch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
-
-    def test_flag_off_restores_lazy_class(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert type(ul) is RouterUnderlay
 
     def test_flag_on_compiles(self):
         ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
@@ -201,10 +203,9 @@ class TestBuilders:
         assert isinstance(second._hdelay, np.memmap)
         _assert_equivalent(first, second)
 
-    def test_builder_matches_lazy_mode(self, monkeypatch):
+    def test_builder_matches_lazy_mode(self):
         compiled = build_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        lazy = build_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
+        lazy = build_lazy_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
         assert compiled.attachments == lazy.attachments
         _assert_equivalent(lazy, compiled)
 
@@ -265,10 +266,19 @@ class TestExperimentEquivalence:
             exp.clear_cache()
             return {name: tables[name].to_json() for name in sorted(tables)}
 
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "1")
         compiled_out = render()
         warm_out = render()  # second pass reads the artifact cache
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
+        built = []
+
+        def lazy_builder(**kwargs):
+            underlay = build_lazy_transit_stub_underlay(**kwargs)
+            built.append(type(underlay))
+            return underlay
+
+        # experiments imports the builder by name, so patch both bindings
+        for module in (substrates, exp):
+            monkeypatch.setattr(module, "build_transit_stub_underlay", lazy_builder)
         lazy_out = render()
+        assert built and set(built) == {RouterUnderlay}
         assert compiled_out == lazy_out
         assert warm_out == lazy_out

@@ -1,15 +1,16 @@
 """Equivalence tests for the incremental tree-state engine.
 
 Every incrementally maintained structure must agree *bit for bit* with
-its recompute-from-scratch oracle:
+its recompute-from-scratch oracle in ``tests/oracles``:
 
-* ``TreeRegistry._reachable`` / ``_depth`` vs the ``_reference_*``
-  parent-chain walks, after every mutation of a random sequence;
+* ``TreeRegistry._reachable`` / ``_depth`` vs the parent-chain walks,
+  after every mutation of a random sequence;
 * the delivery accountant's per-node path-success map vs the full
   root-path product;
-* whole sessions (including fault plans) run with
-  ``REPRO_INCREMENTAL_TREE=1`` vs ``0`` must produce identical
-  measurement records, join records, and loss numbers;
+* whole sessions (including fault plans): after every tree mutation the
+  maintained reachability, depth and path success equal the oracle
+  recomputation, and every measurement's tree metrics equal the
+  full-recompute metrics oracle;
 * the localized per-mutation invariant checks must catch a broken
   protocol on their own, with the full sweep effectively disabled.
 """
@@ -21,17 +22,26 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from repro.factories import vdm
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.protocols.base import ProtocolRuntime, TreeRegistry
+from repro.metrics import collectors
+from repro.protocols.base import TreeRegistry
+from repro.sim import session as session_mod
 from repro.sim.delivery import DeliveryAccountant
-from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantViolation
 from repro.sim.network import MatrixUnderlay
 from repro.sim.session import MulticastSession, SessionConfig
 from repro.topology.transit_stub import TransitStubConfig
 
 from tests.helpers import line_matrix
+from tests.oracles import (
+    reference_depth,
+    reference_is_reachable,
+    reference_path_success,
+    reference_tree_metrics,
+)
 from tests.test_invariants import _over_accepting_factory
 
 SOURCE = 0
@@ -45,18 +55,16 @@ NODES = list(range(1, 10))
 
 def _assert_registry_matches_oracle(tree: TreeRegistry) -> None:
     """The maintained sets must equal what the chain-walking oracle derives."""
-    ref_reachable = {
-        n for n in tree.parent if tree._reference_is_reachable(n)
-    }
+    ref_reachable = {n for n in tree.parent if reference_is_reachable(tree, n)}
     assert tree._reachable == ref_reachable
     assert set(tree._depth) == ref_reachable
     for node in ref_reachable:
-        assert tree.depth(node) == tree._reference_depth(node)
+        assert tree.depth(node) == reference_depth(tree, node)
     # the public queries agree with the oracle for every member
     for node in tree.parent:
-        assert tree.is_reachable(node) == tree._reference_is_reachable(node)
+        assert tree.is_reachable(node) == reference_is_reachable(tree, node)
     assert tree.attached_nodes() == [
-        n for n in tree.parent if tree._reference_is_reachable(n)
+        n for n in tree.parent if reference_is_reachable(tree, n)
     ]
 
 
@@ -141,7 +149,6 @@ class TestRegistryOracleEquivalence:
         self, sequence
     ):
         tree = TreeRegistry(SOURCE)
-        assert tree._incremental, "suite must run with incremental state on"
         t = 0.0
         for op, a, b in sequence:
             t += 1.0
@@ -177,8 +184,6 @@ class TestRegistryOracleEquivalence:
 
 class TestAccountantEquivalence:
     def _build(self):
-        import numpy as np
-
         tree = TreeRegistry(SOURCE)
         n = 8
         loss = np.full((n, n), 0.02)
@@ -200,7 +205,7 @@ class TestAccountantEquivalence:
         for node in tree.attached_nodes():
             if node == SOURCE:
                 continue
-            assert acc._success[node] == acc._reference_path_success(node)
+            assert acc._success[node] == reference_path_success(acc, node)
 
     def test_unreachable_nodes_leave_the_success_map(self):
         tree, acc = self._build()
@@ -210,7 +215,7 @@ class TestAccountantEquivalence:
         assert 1 not in acc._success
         assert 2 not in acc._success
         tree.attach(2, 0, 4.0)
-        assert acc._success[2] == acc._reference_path_success(2)
+        assert acc._success[2] == reference_path_success(acc, 2)
 
     def test_window_memo_is_invalidated_by_mutations(self):
         tree, acc = self._build()
@@ -228,7 +233,7 @@ class TestAccountantEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# whole-session ablation equivalence (REPRO_INCREMENTAL_TREE=1 vs 0)
+# whole sessions: maintained state vs the oracles at every step
 # ---------------------------------------------------------------------------
 
 
@@ -246,28 +251,61 @@ def _session_config(faults):
     )
 
 
-def _run_session(monkeypatch, *, incremental: bool, faults=None):
-    monkeypatch.setenv("REPRO_INCREMENTAL_TREE", "1" if incremental else "0")
-    underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(40)]))
-    session = MulticastSession(underlay, vdm(), _session_config(faults))
-    assert session.env.tree._incremental is incremental
-    return session.run()
+def _session_underlay(lossy: bool) -> MatrixUnderlay:
+    rtt = line_matrix([7.0 * i for i in range(40)])
+    loss = None
+    if lossy:
+        loss = np.full(rtt.shape, 0.01)
+        np.fill_diagonal(loss, 0.0)
+    return MatrixUnderlay(rtt, loss=loss)
 
 
+class _OracleWatch:
+    """Tree listener asserting the maintained state after every mutation.
+
+    Registered after the session's own listeners, so the accountant has
+    already refreshed the mutated subtree when it runs.  Within a
+    compound mutation (a depart orphaning several children) only
+    *reachable* nodes are guaranteed refreshed, so path success is
+    checked on those.
+    """
+
+    def __init__(self, session: MulticastSession) -> None:
+        self.tree = session.env.tree
+        self.acc = session.accountant
+        self.mutations = 0
+        self.tree.add_listener(self._on_event)
+
+    def _on_event(self, kind, node, parent, time) -> None:
+        self.mutations += 1
+        tree = self.tree
+        _assert_registry_matches_oracle(tree)
+        for member in tree.attached_nodes():
+            if member == tree.source:
+                continue
+            _, success = self.acc._ledger[member].open_segment
+            assert success == reference_path_success(self.acc, member)
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
 @pytest.mark.parametrize("faults", [None, "chaos"])
-def test_sessions_identical_across_incremental_toggle(monkeypatch, faults):
-    inc = _run_session(monkeypatch, incremental=True, faults=faults)
-    ref = _run_session(monkeypatch, incremental=False, faults=faults)
-    # measurement records are nested float-bearing dataclasses; equality
-    # is exact, so this asserts bit-identical metrics (incl. loss)
-    assert inc.records == ref.records
-    assert inc.join_records == ref.join_records
-    assert inc.fault_counts == ref.fault_counts
-    window = (0.0, inc.config.total_s)
-    assert inc.accountant.loss_rate(*window) == ref.accountant.loss_rate(*window)
-    assert inc.accountant.mean_node_loss(*window) == ref.accountant.mean_node_loss(
-        *window
+def test_session_state_matches_oracles(monkeypatch, faults, lossy):
+    measured = []
+
+    def checked_metrics(tree, underlay):
+        metrics = collectors.collect_tree_metrics(tree, underlay)
+        assert metrics == reference_tree_metrics(tree, underlay)
+        measured.append(metrics)
+        return metrics
+
+    monkeypatch.setattr(session_mod, "collect_tree_metrics", checked_metrics)
+    session = MulticastSession(
+        _session_underlay(lossy), vdm(), _session_config(faults)
     )
+    watch = _OracleWatch(session)
+    result = session.run()
+    assert watch.mutations > 0
+    assert len(measured) == len(result.records) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.harness.parallel import (
     shutdown_pool,
 )
 from repro.harness.presets import PRESETS
-from repro.sim.network import MatrixUnderlay
+from repro.sim.network import MatrixUnderlay, RouterUnderlay
 from tests.helpers import line_matrix
 
 SMOKE = PRESETS["smoke"]
@@ -266,18 +266,13 @@ _UNCACHED_UL = None
 
 
 def _uncached_ul():
-    """A twin of ``_CACHED_UL`` built with per-pair caches disabled."""
+    """A twin of ``_CACHED_UL`` from the lazy oracle builder: no compiled
+    arrays, and per-pair memos that start empty."""
     global _UNCACHED_UL
     if _UNCACHED_UL is None:
-        import os
+        from tests.oracles import build_lazy_transit_stub_underlay
 
-        from repro.harness.substrates import build_transit_stub_underlay
-
-        os.environ["REPRO_UNDERLAY_CACHE"] = "0"
-        try:
-            _UNCACHED_UL = build_transit_stub_underlay(**_UL_KWARGS)
-        finally:
-            os.environ.pop("REPRO_UNDERLAY_CACHE", None)
+        _UNCACHED_UL = build_lazy_transit_stub_underlay(**_UL_KWARGS)
     return _UNCACHED_UL
 
 
@@ -292,7 +287,7 @@ class TestUnderlayCaches:
     def test_cached_matches_uncached(self, pair):
         a, b = pair
         cached, uncached = _CACHED_UL, _uncached_ul()
-        assert not uncached._cache_enabled
+        assert type(uncached) is RouterUnderlay
         assert cached.delay_ms(a, b) == uncached.delay_ms(a, b)
         assert cached.path_links(a, b) == uncached.path_links(a, b)
         assert cached.path_error(a, b) == uncached.path_error(a, b)
@@ -312,11 +307,6 @@ class TestUnderlayCaches:
             _CACHED_UL.path_error(a, b),
         )
         assert first == second
-
-    def test_uncached_underlay_keeps_no_state(self):
-        ul = _uncached_ul()
-        ul.delay_ms(0, 1), ul.path_links(0, 1), ul.path_error(0, 1)
-        assert not ul._delay_cache and not ul._path_cache and not ul._error_cache
 
     def test_unknown_host_still_rejected_after_warmup(self):
         _CACHED_UL.delay_ms(2, 3)

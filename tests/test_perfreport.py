@@ -1,6 +1,6 @@
-"""Perf-report schema 6: the sparse mode, per-mode peak RSS, refusals.
+"""Perf-report schema 7: the sparse mode, per-mode peak RSS, refusals.
 
-One real smoke-preset generation (seven timed modes, one rep) pins the
+One real smoke-preset generation (six timed modes, one rep) pins the
 report shape end to end; the exactness refusals are covered next to the
 dtype knob in ``tests/test_sparse_underlay.py``.
 """
@@ -27,7 +27,8 @@ class TestSchema:
         assert _MODE_FIELDS["sparse"] == "sparse_s"
         assert _rss_field("sparse") == "sparse_rss_mb"
         assert _rss_field("warm") == "serial_rss_mb"
-        assert _rss_field("lazy") == "serial_lazy_rss_mb"
+        assert _rss_field("cold") == "serial_cold_rss_mb"
+        assert "lazy" not in _MODE_FIELDS
 
     def test_ch7_group_registered_but_not_default(self):
         assert "ch7_scale" in GROUP_RUNNERS
@@ -59,10 +60,10 @@ class TestGeneratedReport:
                 os.environ[artifacts.CACHE_DIR_ENV] = saved
 
     def test_schema_version(self, report):
-        assert report["schema"] == "repro-perf-report/6"
+        assert report["schema"] == "repro-perf-report/7"
         assert isinstance(report["rss_resettable"], bool)
 
-    def test_all_seven_timing_fields(self, report):
+    def test_all_six_timing_fields(self, report):
         entry = report["groups"]["ch3_churn"]
         for field in _MODE_FIELDS.values():
             assert entry[field] > 0

@@ -109,11 +109,10 @@ class TestWalkEquivalence:
         _assert_trees_bitwise_equal(scalar, batched)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
-    def test_env_flag_selects_kernel(self, protocol, monkeypatch):
+    def test_default_kernel_matches_scalar(self, protocol):
         underlay = _sparse(4)
         default = build_scale_tree(underlay, protocol, 20)
-        monkeypatch.setenv("REPRO_SCALE_KERNEL", "scalar")
-        scalar = build_scale_tree(underlay, protocol, 20)
+        scalar = build_scale_tree(underlay, protocol, 20, kernel="scalar")
         _assert_trees_bitwise_equal(default, scalar)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)

@@ -39,6 +39,8 @@ from repro.topology.transit_stub import (
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
 
+from tests.oracles import build_lazy_transit_stub_underlay
+
 TINY_TS = TransitStubConfig(
     total_nodes=60,
     transit_domains=2,
@@ -314,7 +316,7 @@ class TestBuilders:
         ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
         assert isinstance(ul, CompiledUnderlay)
 
-    def test_builder_sparse_matches_builder_lazy(self, monkeypatch):
+    def test_builder_sparse_matches_builder_lazy(self):
         # End-to-end builder parity: same seed, same link errors, the
         # sparse product answers byte-identically to the lazy one —
         # including attachments, which the sparse path derives from
@@ -323,8 +325,7 @@ class TestBuilders:
         sparse = build_transit_stub_underlay(
             n_hosts=10, seed=4, ts_config=TINY_TS, link_errors=errors, sparse=True
         )
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        lazy = build_transit_stub_underlay(
+        lazy = build_lazy_transit_stub_underlay(
             n_hosts=10, seed=4, ts_config=TINY_TS, link_errors=errors
         )
         assert sparse.attachments == lazy.attachments
