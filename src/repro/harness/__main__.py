@@ -82,15 +82,15 @@ def main(argv: list[str] | None = None) -> int:
         const="BENCH_PR6.json",
         default=None,
         metavar="PATH",
-        help="time experiment groups (cold compile / warm cache / batched "
-        "engine / parallel / journal resume / sparse) and write a JSON "
+        help="time experiment groups (cold cache / warm cache / batched "
+        "engine / parallel / journal resume) and write a JSON "
         "perf snapshot (default path: BENCH_PR6.json)",
     )
     parser.add_argument(
         "--no-substrate-cache",
         action="store_true",
-        help="disable the on-disk compiled-substrate cache for this run "
-        "(substrates are still compiled in memory; equivalent to "
+        help="disable the on-disk substrate artifact cache for this run "
+        "(substrates are still built in memory; equivalent to "
         "REPRO_SUBSTRATE_CACHE=0)",
     )
     parser.add_argument(

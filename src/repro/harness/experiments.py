@@ -146,11 +146,10 @@ def _hmtp_spec(refine_period_s: float) -> ProtocolSpec:
 
 # Substrates are deterministic functions of their parameters, so workers
 # rebuild them locally instead of unpickling graph blobs per task; the
-# memo makes that a once-per-process cost.  Since PR 4 the builders under
-# these memos compile their underlays (batched all-pairs Dijkstra, dense
-# matrices) and consult the on-disk artifact cache, so "rebuild" in a
-# warm process usually means mmap-loading shared read-only arrays rather
-# than regenerating the topology.  ``clear_cache`` drops only in-process
+# memo makes that a once-per-process cost.  The builders under these
+# memos consult the on-disk artifact cache, so "rebuild" in a warm
+# process usually means mmap-loading shared read-only arrays (CSR
+# triplets, PlanetLab matrices) rather than regenerating the topology.  ``clear_cache`` drops only in-process
 # state — the disk cache is content-addressed and never stale by
 # construction, so timed cold runs must point REPRO_CACHE_DIR elsewhere
 # (harness/perfreport.py does exactly that).
@@ -1382,13 +1381,12 @@ CH7_PROTOCOLS: tuple[str, ...] = ("VDM", "HMTP", "BTP")
 
 
 def _ch7_underlay(preset: Preset, n_members: int, seed: int):
-    """One sparse substrate per (population, replication seed): ~1 router
-    per member, hosts on stub routers, CSR triplets end to end."""
+    """One substrate per (population, replication seed): ~1 router per
+    member, hosts on stub routers, CSR triplets end to end."""
     return build_transit_stub_underlay(
         n_hosts=n_members,
         seed=seed,
         ts_config=scale_ts_config(max(n_members, 120)),
-        sparse=True,
     )
 
 

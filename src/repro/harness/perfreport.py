@@ -1,13 +1,13 @@
 """Machine-readable performance snapshots (``BENCH_PR6.json``).
 
-Each snapshot times experiment groups under six configurations —
+Each snapshot times experiment groups under five configurations —
 
-* ``serial_cold_s`` — one process, compiled underlays, artifact cache
-  wiped before every run: pays topology generation, the batched
-  all-pairs Dijkstra, *and* the cache store;
-* ``serial_s`` — one process, compiled underlays, warm artifact cache:
-  substrate setup is an mmap load (the default scalar experience, and
-  the field :mod:`repro.harness.perfgate` gates in CI);
+* ``serial_cold_s`` — one process, artifact cache wiped before every
+  run: pays topology generation, the substrates' row stores, *and* the
+  cache store;
+* ``serial_s`` — one process, warm artifact cache: substrate setup is an
+  mmap load plus the row store (the default scalar experience, and the
+  field :mod:`repro.harness.perfgate` gates in CI);
 * ``batched_s`` — one process, warm cache, the batched
   multi-replication engine (:mod:`repro.harness.batchrun`) enabled:
   every sweep cell's replications run through
@@ -17,11 +17,6 @@ Each snapshot times experiment groups under six configurations —
 * ``resume_s`` — one process replaying a fully populated run journal
   (:mod:`repro.harness.journal`): no worker executes, so this isolates
   the fixed replay + render cost a ``--resume`` run pays up front;
-* ``sparse_s`` — one process, warm cache, ``REPRO_SPARSE_UNDERLAY=1``:
-  substrate builders return the CSR-native
-  :class:`~repro.sim.sparse.SparseUnderlay` (on-demand Dijkstra rows, no
-  V^2 matrices) in its exact mode, whose output joins the byte-identity
-  check like every other mode (PR 8);
 
 — plus *substrate-only* timings (``substrate_cold_s`` /
 ``substrate_warm_s``): the wall time of just the group's substrate
@@ -33,16 +28,15 @@ legacy figures keep meaning exactly what they meant in the PR 4/5
 reports: scalar-engine wall clock.  ``batched`` leaves the flag unset
 (unlimited batching), and its rendered table JSON joins the byte-for-byte
 identity check against the cold scalar run — alongside warm, parallel,
-the journal replay, and the sparse run.  A mismatch aborts the
-report: that check is what licenses reading ``serial_s / batched_s`` as
-pure overhead removed rather than a different computation.  For the same
+and the journal replay.  A mismatch aborts the report: that check is
+what licenses reading ``serial_s / batched_s`` as pure overhead removed
+rather than a different computation.  For the same
 reason the report *refuses to run at all* outside the exactness envelope:
-``REPRO_SUBSTRATE_DTYPE=float32`` and ``REPRO_SPARSE_EXACT=0`` both
-declare approximation, and a timing figure for an approximate run cannot
-be compared against exact baselines.
+``REPRO_SPARSE_EXACT=0`` declares approximation, and a timing figure for
+an approximate run cannot be compared against exact baselines.
 
 Each timed run also records its *peak RSS* (``<figure>_rss_mb``, e.g.
-``serial_rss_mb`` / ``sparse_rss_mb``) via :mod:`repro.util.memprof`: the
+``serial_rss_mb`` / ``batched_rss_mb``) via :mod:`repro.util.memprof`: the
 kernel high-water mark is reset before and read after every measurement,
 and the per-mode maximum over reps is reported — memory wants the worst
 case where wall time wants the best.  Where the kernel interface is
@@ -82,7 +76,7 @@ from repro.harness.parallel import shutdown_pool
 from repro.harness.presets import Preset
 from repro.topology.linkmodel import LinkErrorConfig
 from repro.util.artifacts import CACHE_DIR_ENV, CACHE_ENABLED_ENV
-from repro.util.envflags import sparse_exact, substrate_dtype
+from repro.util.envflags import sparse_exact
 from repro.util.memprof import peak_rss_bytes, peak_rss_resettable, reset_peak_rss
 from repro.util.timing import Stopwatch
 
@@ -138,7 +132,6 @@ DEFAULT_GROUPS: tuple[str, ...] = (
 )
 
 _BATCHED_ENV = "REPRO_BATCHED_REPS"
-_SPARSE_ENV = "REPRO_SPARSE_UNDERLAY"
 
 #: default timing repetitions per configuration; the minimum wall time is
 #: kept.  Five reps (not three) because the minimum is only as good as
@@ -153,7 +146,6 @@ _MODE_FIELDS = {
     "batched": "batched_s",
     "parallel": "parallel_s",
     "resume": "resume_s",
-    "sparse": "sparse_s",
 }
 
 
@@ -228,12 +220,12 @@ def _timed_modes(
 ) -> tuple[
     dict[str, list[float]], dict[str, dict[str, str]], dict[str, float]
 ]:
-    """Time all six configurations of one group, reps interleaved.
+    """Time all five configurations of one group, reps interleaved.
 
     Shared machines throttle and un-throttle on minute scales, so timing
     one mode's reps back to back hands whichever mode lands in a fast
     epoch an unearned win.  Interleaving runs every mode once per rep —
-    each drift window scores all six — and the per-mode minimum over
+    each drift window scores all five — and the per-mode minimum over
     reps discards contended epochs for all modes alike.  The full
     per-rep sample lists are returned so the caller can also report each
     figure's spread (cv), alongside each mode's peak RSS in bytes (the
@@ -255,27 +247,18 @@ def _timed_modes(
     the byte-identity check, pinning the journal's float round-trip end
     to end.
 
-    The ``sparse`` mode runs the whole group with
-    ``REPRO_SPARSE_UNDERLAY=1`` (exact rows — the report has already
-    refused to run with ``REPRO_SPARSE_EXACT=0``); every other mode pins
-    the flag to ``0`` so the legacy figures keep timing the dense path.
-    Sparse artifacts cache under their own keys, so its first rep pays a
-    one-time build the min-over-reps then discards — like ``warm``.
-
     Note the ``parallel`` RSS figure covers only the parent process;
     worker RSS is not aggregated.
     """
     from repro.harness import journal as journal_mod
 
-    # (mode, jobs, wipe_cache,
-    #  REPRO_BATCHED_REPS value, REPRO_SPARSE_UNDERLAY value)
+    # (mode, jobs, wipe_cache, REPRO_BATCHED_REPS value)
     specs = (
-        ("cold", 1, True, "0", "0"),
-        ("warm", 1, False, "0", "0"),
-        ("batched", 1, False, "", "0"),
-        ("parallel", jobs, False, "0", "0"),
-        ("resume", 1, False, "0", "0"),
-        ("sparse", 1, False, "0", "1"),
+        ("cold", 1, True, "0"),
+        ("warm", 1, False, "0"),
+        ("batched", 1, False, ""),
+        ("parallel", jobs, False, "0"),
+        ("resume", 1, False, "0"),
     )
     times: dict[str, list[float]] = {mode: [] for mode, *_ in specs}
     rss: dict[str, float] = {mode: 0.0 for mode, *_ in specs}
@@ -286,14 +269,14 @@ def _timed_modes(
             # Untimed populate pass for the resume mode: record every
             # replication of this group into the private journal once,
             # on the scalar engine (the journal is oracle-produced).
-            with _env(**{_BATCHED_ENV: "0", _SPARSE_ENV: "0"}):
+            with _env(**{_BATCHED_ENV: "0"}):
                 exp.clear_cache()
                 shutdown_pool()
                 with journal_mod.run_context(journal_root):
                     runner(dataclasses.replace(preset, jobs=1))
             for _ in range(reps):
-                for mode, mode_jobs, wipe, batched, sparse in specs:
-                    with _env(**{_BATCHED_ENV: batched, _SPARSE_ENV: sparse}):
+                for mode, mode_jobs, wipe, batched in specs:
+                    with _env(**{_BATCHED_ENV: batched}):
                         if wipe:
                             _wipe(cache_root)
                         exp.clear_cache()
@@ -378,7 +361,7 @@ def _time_substrates(
 ) -> dict[str, float] | None:
     """Best-of-reps wall time of one pass over a group's substrate builders.
 
-    ``cold`` compiles with an empty cache (generation + Dijkstra +
+    ``cold`` builds with an empty cache (generation + row store +
     store); ``warm`` rides on the cache the cold pass just populated, so
     it times pure mmap loads.  Reps interleave the two modes for the same
     drift-fairness reason as :func:`_timed_modes`.
@@ -412,24 +395,17 @@ def generate_perf_report(
     with the cold scalar run on any table — a timing number for a mode
     that changes results would be meaningless, so the report refuses to
     be written.  For the same reason it refuses to *start* under
-    ``REPRO_SUBSTRATE_DTYPE=float32`` or ``REPRO_SPARSE_EXACT=0``: both
-    declare approximation, and approximate timings are not comparable to
-    the exact baselines this report exists to gate.  ``reps`` overrides
+    ``REPRO_SPARSE_EXACT=0``: it declares approximation, and approximate
+    timings are not comparable to the exact baselines this report exists
+    to gate.  ``reps`` overrides
     the timing rep count (default: ``REPRO_PERF_REPS`` or 5); the value
     used is recorded in the report.
     """
-    dtype = substrate_dtype()
-    if dtype != "float64":
-        raise RuntimeError(
-            f"REPRO_SUBSTRATE_DTYPE={dtype} narrows substrate arrays out of "
-            "the exactness envelope — refusing to generate a perf report "
-            "for approximate runs (unset the flag or use float64)"
-        )
     if not sparse_exact():
         raise RuntimeError(
             "REPRO_SPARSE_EXACT=0 permits landmark-approximate distances — "
             "refusing to generate a perf report for approximate runs "
-            "(unset the flag; the sparse mode is timed in its exact form)"
+            "(unset the flag)"
         )
     names = list(groups) if groups else list(DEFAULT_GROUPS)
     service = sorted(set(names) & set(SERVICE_GROUPS))
@@ -446,7 +422,7 @@ def generate_perf_report(
         )
     reps = timing_reps(reps)
     report: dict = {
-        "schema": "repro-perf-report/7",
+        "schema": "repro-perf-report/8",
         "preset": preset.name,
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
@@ -459,18 +435,15 @@ def generate_perf_report(
             f"--perf-groups {','.join(names)}"
         ),
         "notes": (
-            "serial_cold_s = compiled underlays with the artifact cache "
-            "wiped each run (the identity reference); serial_s = "
-            "compiled underlays over a warm cache (the default scalar "
-            "mode, gated in CI); batched_s = warm cache with the batched "
+            "serial_cold_s = the artifact cache wiped each run (the "
+            "identity reference); serial_s = a warm cache (the default "
+            "scalar mode, gated in CI); batched_s = warm cache with the batched "
             "multi-replication engine enabled (REPRO_BATCHED_REPS unset; "
             "every other mode pins it to 0, the scalar oracle); "
             "parallel_s = jobs=N over the warm cache; resume_s = jobs=1 "
             "replaying a fully populated run journal (no worker executes "
-            "— the fixed cost a resumed run pays up front); sparse_s = "
-            "warm cache with REPRO_SPARSE_UNDERLAY=1 (CSR sparse "
-            "substrates, exact rows; every other mode pins the flag to "
-            "0).  substrate_*_s time only the group's substrate builder "
+            "— the fixed cost a resumed run pays up front).  "
+            "substrate_*_s time only the group's substrate builder "
             "calls in the cold/warm modes.  Each figure is the "
             "minimum wall time over timing_reps reps, with the modes "
             "interleaved inside each rep so host-speed drift on shared "
@@ -482,9 +455,9 @@ def generate_perf_report(
             "is false the figures are process-lifetime maxima and should "
             "not be gated.  The parallel RSS covers the parent process "
             "only.  outputs_identical means cold, warm, batched, "
-            "parallel, resume, and sparse all produced byte-identical "
-            "table JSON; the report refuses to run at all under "
-            "REPRO_SUBSTRATE_DTYPE=float32 or REPRO_SPARSE_EXACT=0.  "
+            "parallel, and resume all produced byte-identical table "
+            "JSON; the report refuses to run at all under "
+            "REPRO_SPARSE_EXACT=0.  "
             "Parallel speedup is bounded by cpu_count."
         ),
         "groups": {},
@@ -497,13 +470,7 @@ def generate_perf_report(
                 runner, preset, jobs=jobs, cache_root=cache_root, reps=reps
             )
             ref_out = outputs["cold"]
-            for mode_name in (
-                "warm",
-                "batched",
-                "parallel",
-                "resume",
-                "sparse",
-            ):
+            for mode_name in ("warm", "batched", "parallel", "resume"):
                 out = outputs[mode_name]
                 if out != ref_out:
                     differing = sorted(
@@ -520,7 +487,6 @@ def generate_perf_report(
             cold = best["cold"]
             warm, batched = best["warm"], best["batched"]
             parallel, resume = best["parallel"], best["resume"]
-            sparse = best["sparse"]
             subs = _time_substrates(
                 _group_substrate_builders(name, preset),
                 cache_root=cache_root,
@@ -536,13 +502,11 @@ def generate_perf_report(
                 "batched_s": round(batched, 3),
                 "parallel_s": round(parallel, 3),
                 "resume_s": round(resume, 3),
-                "sparse_s": round(sparse, 3),
                 "workers": jobs,
                 "outputs_identical": True,
                 "cv": cv_entry,
                 "speedup_batched_vs_warm": round(warm / batched, 2),
                 "speedup_parallel_vs_serial": round(warm / parallel, 2),
-                "speedup_sparse_vs_warm": round(warm / sparse, 2),
             }
             for mode in _MODE_FIELDS:
                 entry[_rss_field(mode)] = round(rss[mode] / 2**20, 1)

@@ -474,39 +474,19 @@ class _DenseRowProvider:
     """rtt/delay vectors over host-indexed ``delay_row`` rows.
 
     ``rtt_ms(a, b) == 2.0 * delay_row(a)[b]`` bit for bit (the
-    ``delay_row`` contract, and the compiled engine's rtt rows are
-    ``2.0 * delay`` elementwise), so one row per source serves a whole
-    iteration.
-
-    When the underlay exposes its float64 host-delay matrix directly
-    (the compiled engine's ``_hdelay``, valid whenever ``delay_row``
-    itself is — ``_ids_are_indices``), rows are zero-copy views of it:
-    ``delay_row`` is ``_hdelay[a].tolist()`` and a float64 list
-    round-trip is exact, so the view holds the same bits without paying
-    a per-row list conversion.  Otherwise rows are ndarray-ified once
-    and kept in a small LRU.
+    ``delay_row`` contract, and ``Underlay.rtt_ms`` is ``2.0 * delay``),
+    so one row per source serves a whole iteration.  Rows are
+    ndarray-ified once and kept in a small LRU.
     """
 
-    __slots__ = ("underlay", "_mat", "_rows", "_cap")
+    __slots__ = ("underlay", "_rows", "_cap")
 
     def __init__(self, underlay: Underlay) -> None:
         self.underlay = underlay
-        mat = getattr(underlay, "_hdelay", None)
-        self._mat = (
-            mat
-            if (
-                getattr(underlay, "_ids_are_indices", False)
-                and isinstance(mat, np.ndarray)
-                and mat.dtype == np.float64
-            )
-            else None
-        )
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._cap = 256
 
     def _row(self, a: int) -> np.ndarray:
-        if self._mat is not None:
-            return self._mat[a]
         row = self._rows.get(a)
         if row is not None:
             self._rows.move_to_end(a)

@@ -1,29 +1,29 @@
-"""Sharded scale benchmark across protocols, kernels, and substrates.
+"""Sharded scale benchmark across protocols and kernels.
 
 The perf report (:mod:`repro.harness.perfreport`) times paper-scale
-experiment groups, where dense compiled substrates win outright.  This
-module measures the regime the sparse engine and the PR 9 batched kernel
-exist for: substrates with thousands of routers carrying thousands to a
-million members, where the dense all-pairs matrices are the memory
-bottleneck and the scalar per-join Python walk is the wall-clock one.
+experiment groups, where the CSR underlay keeps every row resident.  This
+module measures the regime its bounded row store and the PR 9 batched
+kernel exist for: substrates with thousands of routers carrying
+thousands to a million members, where all-pairs matrices would be the
+memory bottleneck and the scalar per-join Python walk is the wall-clock
+one.  (The dense engine's 43x memory result stays on record in
+``BENCH_PR8.json``.)
 
-Each benchmark *cell* is one ``(substrate mode, protocol, member count,
-kernel)`` tuple, run in a **fresh subprocess** so its peak RSS is the
-cell's own footprint and not an artifact of allocator history from
-earlier cells.  The child builds the ch7-style transit-stub underlay
-(artifact cache disabled — every cell pays its full construction cost),
-runs one static-join replication (:mod:`repro.harness.scale`), computes
-tree metrics, and reports per-phase wall clock, per-phase peak RSS
-(where ``/proc/self/clear_refs`` permits resetting the high-water mark),
-and SHA-256 digests of the tree arrays.
+Each benchmark *cell* is one ``(protocol, member count, kernel)`` tuple,
+labelled ``sparse:<protocol>@<members>``, run in a **fresh subprocess**
+so its peak RSS is the cell's own footprint and not an artifact of
+allocator history from earlier cells.  The child builds the ch7-style
+transit-stub underlay (artifact cache disabled — every cell pays its
+full construction cost), runs one static-join replication
+(:mod:`repro.harness.scale`), computes tree metrics, and reports
+per-phase wall clock, per-phase peak RSS (where
+``/proc/self/clear_refs`` permits resetting the high-water mark), the
+row-store regime, and SHA-256 digests of the tree arrays.
 
 Identity is enforced the PR 6/8 way — refuse to write on divergence:
-
-* **kernel identity** — for every cell that ran both kernels, the
-  batched walk's parents / join latencies / iteration counts must hash
-  identically to the scalar walk's, and every metric repr must match;
-* **engine identity** — dense and sparse cells of the same (protocol,
-  members) pair must agree on tree digests and metrics exactly.
+for every cell that ran both kernels, the batched walk's parents / join
+latencies / iteration counts must hash identically to the scalar walk's,
+and every metric repr must match.
 
 Cells are *supervised* in the PR 5 spirit: each child runs under an
 optional deadline (``--timeout``), is killed and retried a bounded
@@ -38,8 +38,8 @@ CLI::
         --protocols vdm,hmtp,btp --members 1000,10000
     python -m repro.harness.scalebench --smoke --routers 10000 --members 1000
 
-``--smoke`` runs only the sparse cells (CI wraps it in a hard
-address-space ``ulimit`` to keep the no-V^2-matrices claim honest);
+``--smoke`` marks a CI run (CI wraps it in a hard address-space
+``ulimit`` to keep the no-V^2-matrices claim honest);
 ``--routers`` decouples substrate size from member count; ``--scalar-max``
 bounds the member count up to which the scalar reference walk is also
 run (above it, only the batched kernel is feasible); ``--max-tree-s``
@@ -65,7 +65,7 @@ __all__ = [
     "run_cell",
 ]
 
-SCHEMA = "repro-scale-bench/2"
+SCHEMA = "repro-scale-bench/3"
 DEFAULT_MEMBERS = (1000, 10000)
 DEFAULT_OUT = "BENCH_PR9.json"
 DEFAULT_SEED = 2011
@@ -90,16 +90,11 @@ def _cell_env() -> dict[str, str]:
     env = dict(os.environ)
     env[CACHE_ENABLED_ENV] = "0"
     env["REPRO_SPARSE_EXACT"] = "1"
-    env.pop("REPRO_SUBSTRATE_DTYPE", None)
-    # The builder reads the explicit ``sparse=`` argument; pin the flags
-    # anyway so stray settings can't change unrelated code paths.
-    env.pop("REPRO_SPARSE_UNDERLAY", None)
     env.pop("REPRO_SPARSE_PREFETCH", None)
     return env
 
 
 def run_cell(
-    mode: str,
     n_members: int,
     *,
     n_routers: int | None = None,
@@ -115,8 +110,6 @@ def run_cell(
     repeated failure raises :class:`CellFailure` whose ``.record`` is a
     structured failure suitable for landing in the snapshot.
     """
-    if mode not in ("dense", "sparse"):
-        raise ValueError(f"mode must be 'dense' or 'sparse', got {mode!r}")
     if kernel not in ("batched", "scalar"):
         raise ValueError(f"kernel must be 'batched' or 'scalar', got {kernel!r}")
     cmd = [
@@ -124,8 +117,6 @@ def run_cell(
         "-m",
         "repro.harness.scalebench",
         "--cell",
-        "--mode",
-        mode,
         "--members",
         str(n_members),
         "--routers",
@@ -138,7 +129,6 @@ def run_cell(
         kernel,
     ]
     base = {
-        "mode": mode,
         "protocol": protocol,
         "kernel": kernel,
         "members": n_members,
@@ -208,7 +198,6 @@ def _cell_main(args: argparse.Namespace) -> None:
             n_hosts=args.members,
             seed=args.seed,
             ts_config=ts_config,
-            sparse=args.mode == "sparse",
         )
     substrate_rss = peak_rss_bytes()
     if resettable:
@@ -225,8 +214,8 @@ def _cell_main(args: argparse.Namespace) -> None:
     metrics_rss = peak_rss_bytes()
     lat = tree.join_latency_ms[1:]
     record = {
-        "mode": args.mode,
         "protocol": protocol,
+        "regime": underlay.regime,
         "kernel": args.kernel,
         "members": args.members,
         "routers": ts_config.total_nodes,
@@ -247,7 +236,7 @@ def _cell_main(args: argparse.Namespace) -> None:
         "import_rss_mb": _mb(import_rss),
         "joinlat_mean_ms": round(float(sum(lat) / len(lat)), 6),
         # Identical digests == bitwise-identical trees: the cross-kernel
-        # and cross-engine identity oracle in the parent.
+        # identity oracle in the parent.
         "parents_sha": hashlib.sha256(tree.parents.tobytes()).hexdigest(),
         "joinlat_sha": hashlib.sha256(
             tree.join_latency_ms.tobytes()
@@ -272,14 +261,14 @@ def _assert_identical(label_a: str, a: dict, label_b: str, b: dict) -> None:
     if diff:
         raise RuntimeError(
             f"{label_a} and {label_b} disagree on {diff} — refusing to "
-            "write a benchmark for divergent kernels/engines"
+            "write a benchmark for divergent kernels"
         )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.scalebench",
-        description="sharded protocol x kernel x substrate scale benchmark",
+        description="sharded protocol x kernel scale benchmark",
     )
     parser.add_argument("--out", default=DEFAULT_OUT, help="snapshot path")
     parser.add_argument(
@@ -332,11 +321,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run only the sparse cells and skip the snapshot's dense "
-        "half (CI wraps this in a hard ulimit -v)",
+        help="CI smoke run (wrapped in a hard ulimit -v there); the cell "
+        "grid is the same",
     )
     parser.add_argument("--cell", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--mode", default="sparse", help=argparse.SUPPRESS)
     parser.add_argument("--kernel", default="batched", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cell:
@@ -347,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
 
     member_counts = [int(tok) for tok in str(args.members).split(",") if tok]
     protocols = [tok for tok in str(args.protocols).split(",") if tok]
-    modes = ("sparse",) if args.smoke else ("dense", "sparse")
     cells: dict[str, dict] = {}
 
     def _run(label: str, **kwargs) -> dict | None:
@@ -371,38 +358,15 @@ def main(argv: list[str] | None = None) -> int:
 
     for n_members in member_counts:
         for protocol in protocols:
-            for mode in modes:
-                label = f"{mode}:{protocol}@{n_members}"
-                common = dict(
-                    n_routers=args.routers, seed=args.seed, protocol=protocol
+            label = f"sparse:{protocol}@{n_members}"
+            common = dict(n_routers=args.routers, seed=args.seed, protocol=protocol)
+            batched = _run(label, n_members=n_members, **common)
+            if 0 < n_members <= args.scalar_max:
+                scalar = _run(
+                    f"{label}#scalar", n_members=n_members, kernel="scalar", **common
                 )
-                batched = _run(label, mode=mode, n_members=n_members, **common)
-                if 0 < n_members <= args.scalar_max:
-                    scalar = _run(
-                        f"{label}#scalar",
-                        mode=mode,
-                        n_members=n_members,
-                        kernel="scalar",
-                        **common,
-                    )
-                    if batched and scalar:
-                        _assert_identical(
-                            label, batched, f"{label}#scalar", scalar
-                        )
-            if not args.smoke:
-                dense = cells.get(f"dense:{protocol}@{n_members}")
-                sparse = cells.get(f"sparse:{protocol}@{n_members}")
-                if (
-                    dense
-                    and sparse
-                    and dense["status"] == sparse["status"] == "ok"
-                ):
-                    _assert_identical(
-                        f"dense:{protocol}@{n_members}",
-                        dense,
-                        f"sparse:{protocol}@{n_members}",
-                        sparse,
-                    )
+                if batched and scalar:
+                    _assert_identical(label, batched, f"{label}#scalar", scalar)
     report = {
         "schema": SCHEMA,
         "protocols": protocols,
@@ -411,17 +375,18 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python -m repro.harness.scalebench "
         + " ".join(argv if argv is not None else sys.argv[1:]),
         "notes": (
-            "Each cell is one (substrate mode, protocol, member count, "
-            "kernel) tuple run in a fresh supervised subprocess with the "
+            "Each cell is one (protocol, member count, kernel) tuple "
+            "run in a fresh supervised subprocess with the "
             "artifact cache disabled: build the transit-stub underlay "
             "(~1 router per member unless --routers overrides), run one "
             "static-join replication, compute tree metrics.  *_rss_mb "
             "are per-phase peak RSS when rss_per_phase is true (else "
             "process-lifetime maxima); *_s are per-phase wall clocks.  "
             "Cells up to --scalar-max members also run the scalar "
-            "reference kernel ('#scalar' labels); scalar-vs-batched and "
-            "dense-vs-sparse pairs are asserted tree-digest- and "
-            "metric-identical before the snapshot is written.  Cells "
+            "reference kernel ('#scalar' labels); scalar-vs-batched "
+            "pairs are asserted tree-digest- and metric-identical "
+            "before the snapshot is written; regime says whether the "
+            "substrate's rows were resident or bounded.  Cells "
             "that miss their --timeout deadline or exhaust --retries "
             "land as structured failure records (status != 'ok')."
         ),

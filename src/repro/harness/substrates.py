@@ -6,18 +6,17 @@ pool filtered down to working nodes, with the source at a Colorado-like
 site.  These builders package that setup (and its seeding discipline) so
 experiments and tests share one code path.
 
-Since PR 4 both builders route through the substrate compilation layer:
-the transit-stub path returns a :class:`~repro.sim.compiled.CompiledUnderlay`
-(one batched all-pairs Dijkstra, dense delay/error matrices) and both
-consult the content-addressed artifact cache of
-:mod:`repro.util.artifacts`, keyed by the complete build recipe, so a
-warm cache skips topology generation and compilation entirely and loads
-memory-mapped arrays instead.  ``REPRO_SUBSTRATE_CACHE=0`` keeps
-compilation but disables the disk cache.  Compiled substrates answer
-every query byte-identically to the lazy
-:class:`~repro.sim.network.RouterUnderlay` built from the same recipe —
-``tests/test_compiled_underlay.py`` pins that against the lazy builder in
-``tests/oracles``.
+Every transit-stub substrate is a :class:`~repro.sim.sparse.SparseUnderlay`
+built from CSR edge triplets; whether its Dijkstra rows are resident
+(one batched call, paper scale) or bounded (LRU plus prefetch, 10k+
+routers) follows from its size.  Both builders consult the
+content-addressed artifact cache of :mod:`repro.util.artifacts`, keyed by
+the complete build recipe, so a warm cache skips topology generation and
+loads memory-mapped arrays instead.  ``REPRO_SUBSTRATE_CACHE=0``
+disables the disk cache.  Transit-stub substrates answer every query
+byte-identically to the lazy :class:`~repro.sim.network.RouterUnderlay`
+built from the same recipe — ``tests/test_compiled_underlay.py`` pins
+that against the lazy builder in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -27,24 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.compiled import ARTIFACT_SCHEMA, CompiledUnderlay
 from repro.sim.network import MatrixUnderlay
 from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay, select_landmarks
 from repro.topology.geo import GeoSite
-from repro.topology.linkmodel import (
-    LinkErrorConfig,
-    assign_link_errors,
-    link_error_array,
-)
+from repro.topology.linkmodel import LinkErrorConfig, link_error_array
 from repro.topology.planetlab import PlanetLabNode, generate_planetlab_pool
 from repro.topology.transit_stub import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_transit_stub_arrays,
-    stub_routers,
 )
 from repro.util import artifacts
-from repro.util.envflags import sparse_underlay_enabled, substrate_dtype
 from repro.util.rngtools import spawn_rng
 
 __all__ = [
@@ -54,13 +45,14 @@ __all__ = [
     "PlanetLabSubstrate",
 ]
 
+#: layout version of the PlanetLab slice artifact; part of its cache key,
+#: so a layout change invalidates (never misreads) existing entries.
+PLANETLAB_SCHEMA = 3
 
-def _transit_stub_attachments(
-    graph, n_hosts: int, seed: int
-) -> dict[int, int]:
-    """The paper's attachment rule: uniform stub routers, shared only when
-    the host count exceeds the stub-router count."""
-    stubs = stub_routers(graph)
+
+def _attach_hosts(stubs, n_hosts: int, seed: int) -> dict[int, int]:
+    """The paper's attachment rule: hosts ``0..n_hosts-1`` on uniform stub
+    routers, shared only when the host count exceeds the stub count."""
     rng = spawn_rng(seed, "attach")
     routers = rng.choice(stubs, size=n_hosts, replace=n_hosts > len(stubs))
     return {host: int(r) for host, r in enumerate(routers)}
@@ -74,7 +66,7 @@ def build_transit_stub_underlay(
     link_errors: LinkErrorConfig | None = None,
     access_delay_ms: float = 0.5,
     sparse: bool | None = None,
-) -> CompiledUnderlay | SparseUnderlay:
+) -> SparseUnderlay:
     """Generate a transit-stub graph and attach ``n_hosts`` overlay hosts.
 
     Hosts get ids ``0..n_hosts-1`` and are attached to stub routers chosen
@@ -82,82 +74,23 @@ def build_transit_stub_underlay(
     sweep exceeds the stub-router count, at which point routers are
     shared).  Pass ``link_errors`` to enable the Chapter 4 loss model.
 
-    Returns a :class:`CompiledUnderlay`, possibly loaded straight from the
-    artifact cache.
+    Returns a :class:`~repro.sim.sparse.SparseUnderlay`, possibly loaded
+    straight from the artifact cache: CSR edge triplets, never a V^2
+    matrix.  ``sparse`` is accepted and ignored — it once chose between
+    this and a dense underlay, and callers that still pass it keep
+    working.
 
-    ``sparse=True`` (or ``REPRO_SPARSE_UNDERLAY=1``) builds a
-    :class:`~repro.sim.sparse.SparseUnderlay` instead: CSR edge triplets
-    and on-demand Dijkstra rows, never a V^2 matrix — the only substrate
-    path that scales past ~10k routers.  Exact sparse substrates answer
-    every query byte-identically to the dense path.
+    The topology generator, the error-assignment draws and the host
+    attachment draws each consume their own named RNG stream, so the
+    substrate is query-for-query byte-identical to the lazy
+    ``RouterUnderlay`` built from the networkx generator with the same
+    seed.  Landmarks are always selected and persisted; whether they are
+    *used* is decided at construction time by ``REPRO_SPARSE_EXACT``
+    (default: never).
     """
     if n_hosts < 2:
         raise ValueError(f"need at least 2 hosts, got {n_hosts}")
     config = ts_config or TransitStubConfig()
-    if sparse is None:
-        sparse = sparse_underlay_enabled()
-    if sparse:
-        return _build_sparse_transit_stub(
-            n_hosts=n_hosts,
-            seed=seed,
-            config=config,
-            link_errors=link_errors,
-            access_delay_ms=access_delay_ms,
-        )
-
-    key = artifacts.artifact_key(
-        {
-            "kind": "transit-stub",
-            "schema": ARTIFACT_SCHEMA,
-            "dtype": substrate_dtype(),
-            "ts_config": config,
-            "link_errors": link_errors,
-            "seed": int(seed),
-            "n_hosts": int(n_hosts),
-            "access_delay_ms": float(access_delay_ms),
-        }
-    )
-    use_cache = artifacts.cache_enabled()
-    if use_cache:
-        artifact = artifacts.load_artifact(key)
-        if artifact is not None:
-            try:
-                return CompiledUnderlay.from_artifact(artifact)
-            except (KeyError, ValueError):
-                pass  # inconsistent entry: fall through and rebuild
-    graph = generate_transit_stub(config, seed=spawn_rng(seed, "topology"))
-    if link_errors is not None:
-        assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
-    underlay = CompiledUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
-    if use_cache:
-        arrays, meta = underlay.to_artifact()
-        artifacts.store_artifact(key, arrays, meta)
-    return underlay
-
-
-def default_landmark_count(n_routers: int) -> int:
-    """Landmark budget for sparse substrates: ~sqrt(V), clamped to [8, 64]."""
-    return max(8, min(64, int(round(n_routers**0.5))))
-
-
-def _build_sparse_transit_stub(
-    *,
-    n_hosts: int,
-    seed: int,
-    config: TransitStubConfig,
-    link_errors: LinkErrorConfig | None,
-    access_delay_ms: float,
-) -> SparseUnderlay:
-    """The sparse substrate path: triplet topology, no V^2 anything.
-
-    The topology generator, the error-assignment draws, and the host
-    attachment draws all consume the same RNG streams as the dense path,
-    so an exact sparse substrate is query-for-query byte-identical to the
-    compiled build of the same recipe.  Landmarks are always
-    selected and persisted; whether they are *used* is decided at
-    construction time by ``REPRO_SPARSE_EXACT`` (default: never).
-    """
     key = artifacts.artifact_key(
         {
             "kind": "transit-stub-sparse",
@@ -187,10 +120,6 @@ def _build_sparse_transit_stub(
             link_errors,
             seed=spawn_rng(seed, "errors"),
         )
-    stubs = arr.stub_ids()
-    rng = spawn_rng(seed, "attach")
-    routers = rng.choice(stubs, size=n_hosts, replace=n_hosts > len(stubs))
-    attachments = {host: int(r) for host, r in enumerate(routers)}
     landmarks = select_landmarks(
         arr.n_nodes, arr.edge_u, arr.edge_v, default_landmark_count(arr.n_nodes)
     )
@@ -199,7 +128,7 @@ def _build_sparse_transit_stub(
         arr.edge_u,
         arr.edge_v,
         arr.edge_delay,
-        attachments,
+        _attach_hosts(arr.stub_ids(), n_hosts, seed),
         access_delay_ms=access_delay_ms,
         edge_error=edge_error,
         router_domain=arr.transit_domain,
@@ -209,6 +138,11 @@ def _build_sparse_transit_stub(
         arrays, meta = underlay.to_artifact()
         artifacts.store_artifact(key, arrays, meta)
     return underlay
+
+
+def default_landmark_count(n_routers: int) -> int:
+    """Landmark budget for sparse substrates: ~sqrt(V), clamped to [8, 64]."""
+    return max(8, min(64, int(round(n_routers**0.5))))
 
 
 @dataclass
@@ -286,7 +220,7 @@ def build_planetlab_underlay(
     key = artifacts.artifact_key(
         {
             "kind": "planetlab",
-            "schema": ARTIFACT_SCHEMA,
+            "schema": PLANETLAB_SCHEMA,
             "n_select": int(n_select),
             "seed": int(seed),
             "n_us": int(n_us),
@@ -327,7 +261,7 @@ def build_planetlab_underlay(
             arrays["loss"] = loss
         meta = {
             "kind": "planetlab",
-            "schema": ARTIFACT_SCHEMA,
+            "schema": PLANETLAB_SCHEMA,
             "source": int(source),
             "nodes": [_node_to_json(node) for node in selected],
             "has_loss": loss is not None,
@@ -338,7 +272,7 @@ def build_planetlab_underlay(
 
 def _planetlab_from_artifact(artifact: artifacts.Artifact) -> PlanetLabSubstrate:
     meta = artifact.meta
-    if meta.get("kind") != "planetlab" or meta.get("schema") != ARTIFACT_SCHEMA:
+    if meta.get("kind") != "planetlab" or meta.get("schema") != PLANETLAB_SCHEMA:
         raise ValueError("not a planetlab substrate artifact")
     loss = artifact.arrays.get("loss")
     if meta["has_loss"] and loss is None:

@@ -215,7 +215,7 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
     children = tree.children
     parent_map = tree.parent
     # Bound-method hoist: these two run once per tree edge per sample, and
-    # on compiled substrates they are dense-artifact lookups whose attribute
+    # on resident substrates they are row-list lookups whose attribute
     # dispatch would otherwise dominate.
     delay_ms = underlay.delay_ms
     path_links = underlay.path_links

@@ -236,26 +236,21 @@ class BatchedCell:
             raise BatchedUnsupported("underlay has no hosts")
         if underlay.delay_row(self.hosts[0]) is None:
             raise BatchedUnsupported(
-                "underlay has no dense delay rows (compiled substrate required)"
+                "underlay has no host-indexed delay rows"
             )
         if not getattr(underlay, "zero_error", False):
             raise BatchedUnsupported(
                 "underlay carries link errors; loss accounting needs the "
                 "scalar accountant's per-hop success products"
             )
-        dense = getattr(underlay, "_hdelay", None)
-        if dense is not None:
-            max_delay = float(np.max(dense))
-            min_delay = float(np.min(dense))
-        else:
-            max_delay = -math.inf
-            min_delay = math.inf
-            for host in self.hosts:
-                row = underlay.delay_row(host)
-                if row is None:
-                    raise BatchedUnsupported("underlay delay rows are partial")
-                max_delay = max(max_delay, max(row))
-                min_delay = min(min_delay, min(row))
+        max_delay = -math.inf
+        min_delay = math.inf
+        for host in self.hosts:
+            row = underlay.delay_row(host)
+            if row is None:
+                raise BatchedUnsupported("underlay delay rows are partial")
+            max_delay = max(max_delay, max(row))
+            min_delay = min(min_delay, min(row))
         if not math.isfinite(max_delay) or min_delay < 0:
             raise BatchedUnsupported("underlay delays must be finite and >= 0")
         self._max_delay_ms = max_delay

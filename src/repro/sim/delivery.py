@@ -122,8 +122,8 @@ class DeliveryAccountant:
         # static, so each (parent, child) hop's success is a constant —
         # memoizing it keeps churn-driven subtree refreshes (which rebuild
         # ancestry products constantly) off the underlay's path machinery.
-        # Substrates that hold their full loss picture (compiled
-        # artifacts, matrix underlays) advertise global loss-freedom via
+        # Substrates that hold their full loss picture (CSR transit-stub
+        # and matrix underlays) advertise global loss-freedom via
         # ``zero_error``; every hop success is then exactly 1.0 and the
         # cumulative products below can only ever multiply exact 1.0s,
         # so they are skipped outright.  Lazy substrates don't carry

@@ -23,9 +23,9 @@ on every measurement window.  :class:`RouterUnderlay` therefore memoizes
 :class:`MatrixUnderlay` precomputes its one-way delay matrix.
 
 :class:`RouterUnderlay` discovers shortest paths *lazily*, one Dijkstra
-source at a time.  :class:`repro.sim.compiled.CompiledUnderlay` subclasses
-it to run one batched all-pairs Dijkstra up front and serve every query
-from dense arrays; the lazy implementations below double as its
+source at a time, on any networkx graph.  The production transit-stub
+substrate is :class:`repro.sim.sparse.SparseUnderlay`, which serves the
+same queries from CSR triplets; the lazy implementation below is its
 reference oracle (``tests/oracles``), so the two must stay bit-for-bit
 equivalent.
 """
@@ -211,16 +211,6 @@ class RouterUnderlay(Underlay):
                 domains = {}
             self._domain_map = domains
         return domains.get(self.attachments[host])
-
-    def _set_domain_map(self, domains: dict[int, int]) -> None:
-        """Pre-populate the router->domain map (artifact restore path).
-
-        Graphs rebuilt from compiled artifacts carry edges and delays but
-        no node attributes, so :func:`router_transit_domains` cannot run on
-        them; the compiled layer persists the mapping instead and injects
-        it here.
-        """
-        self._domain_map = dict(domains)
 
     def _ensure_dijkstra(self, router: int) -> None:
         if router not in self._dist:

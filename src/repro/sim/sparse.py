@@ -1,23 +1,35 @@
-"""Sparse substrates: CSR-native underlays with on-demand Dijkstra rows.
+"""The transit-stub underlay: a CSR graph with exact Dijkstra rows.
 
-The dense compiled path (:mod:`repro.sim.compiled`) materializes an
-all-pairs host-delay matrix plus router dist/pred matrices — O(V²) memory
-that caps substrates near ~10⁴ routers.  :class:`SparseUnderlay` keeps the
-underlay as a CSR graph end-to-end and serves every query from
-**single-source Dijkstra rows computed on demand**, held in a bounded LRU
-(``REPRO_SPARSE_ROWS``).  Peak memory is O(E + cache · V) instead of
-O(V²), which is what makes 10⁵–10⁶-router substrates tractable.
+:class:`SparseUnderlay` is the one underlay every transit-stub substrate
+is built as.  It keeps the router graph as CSR edge triplets end to end
+and serves every query from single-source Dijkstra rows.  *Where* those
+rows live is decided once, at construction, from the input size alone —
+never a user option:
+
+* **Resident regime** — when every distinct attachment router's row fits
+  :data:`RESIDENT_BUDGET_BYTES` (routers × V × 12 bytes: float64
+  distances plus int32 predecessors), all of them come from **one
+  batched** ``csgraph.dijkstra`` call and stay resident with no
+  eviction, together with the host-delay rows built from them.
+  ``delay_ms`` is then one list subscript, which is what paper-scale
+  sweeps (the 792-router Ch. 3 substrate) need.
+* **Bounded regime** — above the budget, rows are computed on demand
+  into a bounded LRU (``REPRO_SPARSE_ROWS``), optionally fed by the
+  :class:`RowPlan` block prefetcher.  Peak memory is O(E + cache · V)
+  instead of O(V²), which is what makes 10⁵–10⁶-router substrates
+  tractable.
 
 Exactness discipline (DESIGN.md §12):
 
 * **Exact mode** (the default, and forced whenever ``REPRO_SPARSE_EXACT``
   is left at ``1``) answers every query **byte-identically** to the
-  lazy :class:`~repro.sim.network.RouterUnderlay` / dense
-  :class:`~repro.sim.compiled.CompiledUnderlay` oracles: the CSR matrix
-  holds the same canonicalized values networkx would produce, scipy's
-  Dijkstra is deterministic on it, and the float association of
-  ``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.
-  The equivalence suite in ``tests/test_sparse_underlay.py`` pins this.
+  lazy :class:`~repro.sim.network.RouterUnderlay` oracle, in both
+  regimes: the CSR matrix holds the same canonicalized values networkx
+  would produce, scipy's Dijkstra is deterministic on it and computes
+  each source of a batched call independently, and the float association
+  of ``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.
+  The equivalence suites in ``tests/test_sparse_underlay.py`` and
+  ``tests/test_compiled_underlay.py`` pin this.
 * **Landmark mode** (opt-in: construct with ``landmarks`` *and* set
   ``REPRO_SPARSE_EXACT=0``) estimates a distance as
   ``min_l d(u, l) + d(l, v)`` over a small landmark set — an upper bound
@@ -29,7 +41,7 @@ Exactness discipline (DESIGN.md §12):
   *declared* multiplicative ``error_bound``.  Approximate answers are
   outside the byte-identity envelope: the perf report refuses to time
   them (the PR 6 decline pattern), and the landmark test asserts the
-  declared bound empirically.
+  declared bound empirically.  Landmark mode always runs bounded.
 
 The per-ordered-pair memo dicts mirror the lazy underlay's but are
 *bounded*: at scale the set of queried pairs is itself O(members ·
@@ -49,7 +61,8 @@ bit-identical to its single-source twin (pinned in
 ``tests/test_sparse_underlay.py``).  Prefetched rows are retained in a
 byte-budgeted LRU *separate* from the small demand LRU, which is what
 lets members ≫ routers walks keep every distinct attachment-router row
-resident instead of thrashing ``REPRO_SPARSE_ROWS``.
+resident instead of thrashing ``REPRO_SPARSE_ROWS``.  Resident rows are
+never planned: a plan only covers what the resident store lacks.
 """
 
 from __future__ import annotations
@@ -69,13 +82,22 @@ from repro.util.envflags import sparse_exact, sparse_prefetch_block, sparse_row_
 
 __all__ = ["SPARSE_SCHEMA", "RowPlan", "SparseUnderlay", "select_landmarks"]
 
-#: artifact layout version for sparse substrates (own keyspace; a sparse
-#: entry is never confused with a dense one — ``meta["kind"]`` differs).
+#: artifact layout version of the CSR-triplet substrate entries; part of
+#: every cache key, so a layout change invalidates (never misreads) them.
 SPARSE_SCHEMA = 1
 
 #: per-ordered-pair memo dicts self-clear at this many entries so a
 #: 100k-member walk cannot accumulate unbounded Python-dict state.
 _PAIR_MEMO_CAP = 1 << 20
+
+#: byte budget of the resident regime, against distinct attachment
+#: routers × V × 12 (float64 distances + int32 predecessors).  16 MiB
+#: keeps the paper's 792-router substrate (400 attachment routers,
+#: ~3.6 MiB) resident and puts a 2,000-router scale substrate (~29 MiB)
+#: on the bounded LRU.
+RESIDENT_BUDGET_BYTES = 16 << 20
+
+_INF = float("inf")
 
 
 def select_landmarks(
@@ -106,10 +128,10 @@ class RowPlan:
     Built by :meth:`SparseUnderlay.prefetch_rows`; consumed implicitly —
     the underlay's row lookups consult the active plan before falling
     back to demand Dijkstra.  The plan dedupes its sources to
-    first-occurrence order, chunks them into blocks of ``block``
-    sources, and keeps exactly one block *in flight* on a single worker
-    thread (double-buffering): collecting block *k* immediately submits
-    block *k+1*.  A lookup for a source in a not-yet-collected block
+    first-occurrence order (dropping rows the underlay holds resident),
+    chunks them into blocks of ``block`` sources, and keeps exactly one
+    block *in flight* on a single worker thread (double-buffering):
+    collecting block *k* immediately submits block *k+1*.  A lookup for a source in a not-yet-collected block
     drains in-flight blocks forward until that block lands — plans are
     consumed roughly in plan order, so this is one wait in the common
     case, never a recompute.
@@ -135,8 +157,9 @@ class RowPlan:
         self.predecessors = bool(predecessors)
         order: list[int] = []
         seen: set[int] = set()
+        resident = underlay._resident_rows
         for router in np.asarray(sources, dtype=np.int64).tolist():
-            if router not in seen:
+            if router not in seen and router not in resident:
                 seen.add(router)
                 order.append(router)
         self.n_sources = len(order)
@@ -190,8 +213,6 @@ class RowPlan:
         dist, pred = self._future.result()
         blk = self._blocks[self._future_idx]
         self._submit_next()
-        if self._underlay._any_unreachable is None:
-            self._underlay._any_unreachable = bool(not np.all(np.isfinite(dist)))
         for i, router in enumerate(blk.tolist()):
             # Copies detach the rows from the (B, V) block matrices so
             # eviction actually frees memory; bits are preserved.
@@ -267,6 +288,11 @@ class SparseUnderlay(Underlay):
     plans.  ``landmarks`` enables the approximation layer — which stays
     *dormant* (exact rows) unless ``REPRO_SPARSE_EXACT=0`` at
     construction time.
+
+    :attr:`regime` reports where the exact rows live: ``"resident"``
+    (every attachment router's row from one batched Dijkstra, never
+    evicted) or ``"bounded"`` (demand LRU plus prefetch), chosen from
+    the input size against :data:`RESIDENT_BUDGET_BYTES`.
     """
 
     def __init__(
@@ -351,9 +377,30 @@ class SparseUnderlay(Underlay):
         self._hrow_cap = max(8, self._row_cap // 4)
         self._hrows: OrderedDict[int, list[float]] = OrderedDict()
         self._ids_are_indices = all(h == i for i, h in enumerate(self._hosts))
-        self._any_unreachable: bool | None = None  # unknown until a row exists
+        # Some host pair is unreachable iff the router graph is split.
+        self._any_unreachable = (
+            csgraph.connected_components(self._csr, return_labels=False) > 1
+        )
         self._plan: RowPlan | None = None  # active prefetch plan, if any
         self.demand_rows = 0  # instrumentation: demand-time Dijkstra runs
+
+        # Row-store regime, from the input size alone.  Resident: one
+        # batched Dijkstra over the attachment routers, rows kept for the
+        # underlay's lifetime, host-delay rows (by host index) likewise.
+        att = np.unique(np.fromiter(self.attachments.values(), dtype=np.int64))
+        resident = (
+            not self._approx
+            and att.size * self.n_routers * 12 <= RESIDENT_BUDGET_BYTES
+        )
+        self.regime = "resident" if resident else "bounded"
+        self._resident_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._drows: list[list[float] | None] | None = None
+        if resident:
+            dist, pred = csgraph.dijkstra(
+                self._csr, directed=False, indices=att, return_predecessors=True
+            )
+            self._resident_rows = dict(zip(att.tolist(), zip(dist, pred)))
+            self._drows = [None] * len(self._hosts)
 
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
@@ -411,7 +458,8 @@ class SparseUnderlay(Underlay):
         """Install a :class:`RowPlan` over an ordered source-router plan.
 
         ``sources`` is the sequence of source routers the caller will
-        query, in order, repeats allowed (the plan dedupes).  ``block``
+        query, in order, repeats allowed (the plan dedupes and skips
+        rows the resident store already holds).  ``block``
         overrides ``REPRO_SPARSE_PREFETCH``; ``predecessors=True``
         additionally prefetches predecessor rows (for path expansion).
         ``retain_bytes`` budgets the retained-row LRU (default 256 MiB,
@@ -434,7 +482,10 @@ class SparseUnderlay(Underlay):
         return plan
 
     def _row(self, router: int) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, pred) arrays from ``router``, LRU-cached."""
+        """(dist, pred) arrays from ``router``: resident, else LRU-cached."""
+        got = self._resident_rows.get(router)
+        if got is not None:
+            return got
         cached = self._rows.get(router)
         if cached is not None and cached[1] is not None:
             self._rows.move_to_end(router)
@@ -450,8 +501,6 @@ class SparseUnderlay(Underlay):
             return_predecessors=True,
         )
         self.demand_rows += 1
-        if self._any_unreachable is None:
-            self._any_unreachable = bool(not np.all(np.isfinite(dist)))
         self._rows[router] = (dist, pred)
         if len(self._rows) > self._row_cap:
             self._rows.popitem(last=False)
@@ -460,14 +509,18 @@ class SparseUnderlay(Underlay):
     def router_dist_row(self, router: int) -> np.ndarray:
         """Exact dist row from ``router`` — no predecessors computed.
 
-        Serves the scale kernels: checks the demand LRU, then the active
-        prefetch plan, then falls back to a *dist-only* Dijkstra (scipy
-        returns bit-identical distances with and without
-        ``return_predecessors``; the equivalence suite pins that).  Not
-        available in landmark mode, which has no exact rows to give.
+        Serves the scale kernels: checks the resident rows, the demand
+        LRU, then the active prefetch plan, then falls back to a
+        *dist-only* Dijkstra (scipy returns bit-identical distances with
+        and without ``return_predecessors``; the equivalence suite pins
+        that).  Not available in landmark mode, which has no exact rows
+        to give.
         """
         if self._approx:
             raise RuntimeError("router_dist_row requires exact mode")
+        got = self._resident_rows.get(router)
+        if got is not None:
+            return got[0]
         cached = self._rows.get(router)
         if cached is not None:
             self._rows.move_to_end(router)
@@ -478,8 +531,6 @@ class SparseUnderlay(Underlay):
                 return got[0]
         dist = csgraph.dijkstra(self._csr, directed=False, indices=router)
         self.demand_rows += 1
-        if self._any_unreachable is None:
-            self._any_unreachable = bool(not np.all(np.isfinite(dist)))
         self._rows[router] = (dist, None)
         if len(self._rows) > self._row_cap:
             self._rows.popitem(last=False)
@@ -591,6 +642,24 @@ class SparseUnderlay(Underlay):
     # -- host-level queries ---------------------------------------------------
 
     def delay_ms(self, a: int, b: int) -> float:
+        drows = self._drows
+        if drows is not None:
+            # Resident regime: one subscript into a host-delay row list.
+            try:
+                ia = self._host_idx[a]
+                ib = self._host_idx[b]
+            except KeyError as exc:
+                raise KeyError(f"unknown host {exc.args[0]!r}") from None
+            row = drows[ia]
+            if row is None:
+                row = drows[ia] = self._host_delays(a).tolist()
+            value = row[ib]
+            if value == _INF:
+                raise nx.NetworkXNoPath(
+                    f"no route between routers {self.attachments[a]} "
+                    f"and {self.attachments[b]}"
+                )
+            return value
         key = (a, b)
         cached = self._delay_cache.get(key)
         if cached is not None:
@@ -612,10 +681,24 @@ class SparseUnderlay(Underlay):
         if not self._ids_are_indices:
             return None
         self.validate_host(a)
-        row = self._hrows.get(a)
-        if row is not None:
-            self._hrows.move_to_end(a)
-            return row
+        if self._drows is not None:
+            row = self._drows[a]
+            if row is None:
+                row = self._drows[a] = self._host_delays(a).tolist()
+        else:
+            row = self._hrows.get(a)
+            if row is not None:
+                self._hrows.move_to_end(a)
+            else:
+                row = self._hrows[a] = self._host_delays(a).tolist()
+                if len(self._hrows) > self._hrow_cap:
+                    self._hrows.popitem(last=False)
+        if self._any_unreachable and max(row) == _INF:
+            return None  # unreachable pairs: callers fall back to delay_ms
+        return row
+
+    def _host_delays(self, a: int) -> np.ndarray:
+        """Host ``a``'s one-way delays to every host, in host-index order."""
         r_a = self.attachments[a]
         if self._approx:
             ldist, _ = self._landmark_rows()
@@ -628,16 +711,10 @@ class SparseUnderlay(Underlay):
             base[cols == r_a] = 0.0
         else:
             base = self.router_dist_row(r_a)[self._host_cols()]
-        if not np.all(np.isfinite(base)):
-            return None  # unreachable pairs: callers fall back to delay_ms
         # Elementwise ``(acc_a + base) + acc_b`` — the lazy association.
         values = (self._access_delay[a] + base) + self._acc_array()
         values[self._host_idx[a]] = 0.0
-        row = values.tolist()
-        self._hrows[a] = row
-        if len(self._hrows) > self._hrow_cap:
-            self._hrows.popitem(last=False)
-        return row
+        return values
 
     def _host_cols(self) -> np.ndarray:
         cols = getattr(self, "_host_cols_cache", None)
@@ -723,13 +800,11 @@ class SparseUnderlay(Underlay):
         if kind == "access" and len(payload) == 1:
             return self._access_error[payload[0]]
         if kind == "router" and len(payload) == 2:
+            self.link_delay(link)  # unknown router links raise KeyError
             if self._err_csr is None:
                 return 0.0
-            u, v = payload
-            try:
-                return self._edge_value(self._err_csr, u, v)
-            except (KeyError, IndexError):
-                return 0.0
+            # Error triplets share the delay triplets' sparsity pattern.
+            return self._edge_value(self._err_csr, *payload)
         raise KeyError(f"unknown link id {link!r}")
 
     # -- artifact round-trip --------------------------------------------------

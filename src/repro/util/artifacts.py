@@ -1,9 +1,9 @@
-"""Content-addressed on-disk artifact cache for compiled substrates.
+"""Content-addressed on-disk artifact cache for built substrates.
 
 Substrates are deterministic functions of their configuration, so the
-expensive part of building one — topology generation plus the batched
-all-pairs Dijkstra of :mod:`repro.sim.compiled` — can be done once and
-reused by every later process.  This module provides the storage layer:
+expensive part of building one — topology generation, link-error draws,
+host attachment, PlanetLab RTT synthesis — can be done once and reused by
+every later process.  This module provides the storage layer:
 
 * **Keying** — :func:`artifact_key` hashes a canonical-JSON rendering of
   the full build recipe (topology config, seed, link-error config,
@@ -11,7 +11,7 @@ reused by every later process.  This module provides the storage layer:
   to any input, or a bump of the schema version, yields a new key; stale
   entries are never read, only evicted.
 * **Layout** — one directory per key under the cache root, holding one
-  ``<name>.npy`` per compiled array plus a ``manifest.json`` describing
+  ``<name>.npy`` per stored array plus a ``manifest.json`` describing
   the expected shape, dtype, and byte size of each array.  Plain ``.npy``
   files (rather than a bundled ``.npz``) are what make ``mmap_mode="r"``
   genuinely memory-map: the OS page cache then shares the read-only
@@ -46,7 +46,7 @@ Environment knobs (also see ``--no-substrate-cache`` on the harness CLI):
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache`` in the
   current working directory);
 * ``REPRO_SUBSTRATE_CACHE=0`` — disable reads *and* writes (substrates
-  are still compiled in memory);
+  are still built in memory);
 * ``REPRO_CACHE_MAX_BYTES`` — eviction cap in bytes.
 """
 
@@ -212,7 +212,7 @@ def _jsonable(value):
 def artifact_key(payload: dict) -> str:
     """SHA-256 of the canonical JSON rendering of ``payload``.
 
-    The payload must spell out *everything* the compiled arrays depend
+    The payload must spell out *everything* the stored arrays depend
     on — config dataclasses, seeds, and the code schema version — so the
     key is a complete content address: equal keys imply bit-identical
     artifacts, and any recipe change misses cleanly.
@@ -265,7 +265,7 @@ def _warn_degraded(exc: OSError) -> None:
     warnings.warn(
         f"substrate cache at {cache_dir()} is not writable "
         f"({exc.__class__.__name__}: {exc}); continuing with in-memory "
-        "substrates only — compiled arrays will not persist across "
+        "substrates only — substrate arrays will not persist across "
         "processes this run",
         RuntimeWarning,
         stacklevel=4,

@@ -41,24 +41,19 @@ engine covers only part of the configuration space:
   Paper-preset snapshots dial it down, and the report records the
   value used so a single-rep figure can't pose as a best-of-five.
 
-Sparse substrates (PR 8) follow the same discipline:
+The transit-stub underlay (:class:`~repro.sim.sparse.SparseUnderlay`,
+the only one the substrate builders return) keeps its row-store tuning
+knobs; whether its rows are resident or bounded follows from the input
+size and is not a flag:
 
-* ``REPRO_SPARSE_UNDERLAY=1`` — substrate builders return the CSR-native
-  :class:`~repro.sim.sparse.SparseUnderlay` (on-demand Dijkstra rows, no
-  V^2 matrices) instead of the dense compiled artifact.  Default off:
-  the dense path stays the oracle at paper scale.
 * ``REPRO_SPARSE_EXACT`` — exactness knob for the sparse engine.  The
   default (``1``) forces exact Dijkstra rows, byte-identical to the
-  dense/lazy oracles.  ``0`` permits the landmark approximation layer
+  lazy oracle.  ``0`` permits the landmark approximation layer
   for substrates built with landmarks; approximate results declare an
   error bound and are *refused* by the perf report's byte-identity
   check (the PR 6 decline pattern).
-* ``REPRO_SPARSE_ROWS`` — LRU capacity (in source rows) of the sparse
-  engine's Dijkstra row cache (default 128; minimum 4).
-* ``REPRO_SUBSTRATE_DTYPE`` — dtype of compiled delay/RTT arrays:
-  ``float64`` (default, bit-exact vs the lazy oracle) or ``float32``
-  (halves artifact bytes for scale runs; narrowed results are refused
-  by the perf-report identity oracle).
+* ``REPRO_SPARSE_ROWS`` — LRU capacity (in source rows) of the
+  bounded regime's Dijkstra row cache (default 128; minimum 4).
 
 The scale kernels (PR 9) add two more:
 
@@ -88,8 +83,6 @@ __all__ = [
     "sparse_exact",
     "sparse_prefetch_block",
     "sparse_row_cache",
-    "sparse_underlay_enabled",
-    "substrate_dtype",
     "task_max_attempts",
     "task_timeout_s",
 ]
@@ -117,13 +110,13 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "~/.cache/repro-vdm", "artifact-cache root directory", "repro.util.artifacts"
     ),
     "REPRO_SUBSTRATE_CACHE": FlagSpec(
-        "1", "on-disk compiled-substrate artifact cache", "repro.util.artifacts"
+        "1", "on-disk substrate artifact cache", "repro.util.artifacts"
     ),
     "REPRO_CACHE_MAX_BYTES": FlagSpec(
         "2147483648", "artifact-cache size bound (LRU eviction)", "repro.util.artifacts"
     ),
     "REPRO_SHARD_BYTES": FlagSpec(
-        "134217728", "compiled-matrix shard size for mmap artifacts",
+        "134217728", "artifact-array shard size for mmap artifacts",
         "repro.util.artifacts",
     ),
     "REPRO_TASK_TIMEOUT_S": FlagSpec(
@@ -166,10 +159,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     "REPRO_PERF_REPS": FlagSpec(
         "5", "timing repetitions per perf-report mode", "repro.harness.perfreport"
     ),
-    "REPRO_SPARSE_UNDERLAY": FlagSpec(
-        "0", "CSR-native sparse substrates (no V^2 matrices)",
-        "repro.util.envflags",
-    ),
     "REPRO_SPARSE_EXACT": FlagSpec(
         "1", "pin the sparse engine to exact Dijkstra rows", "repro.util.envflags"
     ),
@@ -178,10 +167,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     ),
     "REPRO_SPARSE_PREFETCH": FlagSpec(
         "64", "multi-source Dijkstra prefetch block (0 = demand-time)",
-        "repro.util.envflags",
-    ),
-    "REPRO_SUBSTRATE_DTYPE": FlagSpec(
-        "float64", "compiled-substrate array dtype (float32 leaves exactness)",
         "repro.util.envflags",
     ),
 }
@@ -262,11 +247,6 @@ def interrupt_grace_s() -> float:
     return _positive_float("REPRO_GRACE_S", 5.0)
 
 
-def sparse_underlay_enabled() -> bool:
-    """Whether substrate builders return sparse CSR underlays (default off)."""
-    return os.environ.get("REPRO_SPARSE_UNDERLAY", "0").lower() not in _FALSE_VALUES
-
-
 def sparse_exact() -> bool:
     """Whether the sparse engine is pinned to exact rows (default on).
 
@@ -320,20 +300,3 @@ def sparse_prefetch_block(requested: int | None = None) -> int:
         raise ValueError(f"REPRO_SPARSE_PREFETCH must be >= 0, got {value}")
     return value
 
-
-def substrate_dtype() -> str:
-    """Compiled-substrate array dtype (``REPRO_SUBSTRATE_DTYPE``).
-
-    ``float64`` (the default) keeps compiled delay/RTT arrays bit-exact
-    against the lazy scalar oracle; ``float32`` halves artifact size for
-    scale runs at the cost of leaving the exactness envelope (the perf
-    report refuses narrowed runs).
-    """
-    raw = os.environ.get("REPRO_SUBSTRATE_DTYPE", "").strip().lower()
-    if not raw:
-        return "float64"
-    if raw not in ("float32", "float64"):
-        raise ValueError(
-            f"REPRO_SUBSTRATE_DTYPE must be float32 or float64, got {raw!r}"
-        )
-    return raw

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.sim import sparse
 from repro.sim.faults import FaultPlan
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -21,6 +23,12 @@ def line_matrix(positions: list[float]) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=float)
     return np.abs(pos[:, None] - pos[None, :])
+
+
+def bounded_regime():
+    """Context in which every new ``SparseUnderlay`` takes the bounded row
+    store (demand LRU plus prefetch), whatever its size."""
+    return mock.patch.object(sparse, "RESIDENT_BUDGET_BYTES", 0)
 
 
 def save_fault_fixture(

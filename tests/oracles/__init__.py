@@ -1,9 +1,9 @@
 """Naive reference implementations the equivalence tests compare against.
 
 Production code keeps one path per optimization: the incrementally
-maintained tree state, the per-pair underlay memos, the compiled
-substrates.  The full-recompute versions of those computations live here
-instead, so every equivalence test keeps a bit-for-bit oracle without the
+maintained tree state, the per-pair underlay memos, the transit-stub
+underlay's row store.  The full-recompute versions of those computations
+live here instead, so every equivalence test keeps a bit-for-bit oracle without the
 simulator carrying a second branch.  Nothing under ``src/`` imports this
 package.
 """
@@ -17,19 +17,15 @@ from tests.oracles.tree import (
 )
 from tests.oracles.underlay import (
     build_lazy_transit_stub_underlay,
-    reference_delay_ms,
-    reference_path_error,
-    reference_path_links,
+    transit_stub_attachments,
 )
 
 __all__ = [
     "build_lazy_transit_stub_underlay",
-    "reference_delay_ms",
     "reference_depth",
     "reference_is_reachable",
-    "reference_path_error",
-    "reference_path_links",
     "reference_path_success",
     "reference_path_to_source",
     "reference_tree_metrics",
+    "transit_stub_attachments",
 ]

@@ -1,8 +1,8 @@
-"""Perf-report schema 7: the sparse mode, per-mode peak RSS, refusals.
+"""Perf-report schema 8: five timed modes, per-mode peak RSS.
 
-One real smoke-preset generation (six timed modes, one rep) pins the
-report shape end to end; the exactness refusals are covered next to the
-dtype knob in ``tests/test_sparse_underlay.py``.
+One real smoke-preset generation (five timed modes, one rep) pins the
+report shape end to end; the exactness refusal is covered in
+``tests/test_sparse_underlay.py``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from repro.util import artifacts
 
 
 class TestSchema:
-    def test_mode_field_map_covers_sparse(self):
-        assert _MODE_FIELDS["sparse"] == "sparse_s"
-        assert _rss_field("sparse") == "sparse_rss_mb"
+    def test_mode_field_map_has_five_modes(self):
+        assert set(_MODE_FIELDS) == {"cold", "warm", "batched", "parallel", "resume"}
         assert _rss_field("warm") == "serial_rss_mb"
         assert _rss_field("cold") == "serial_cold_rss_mb"
-        assert "lazy" not in _MODE_FIELDS
+        assert _rss_field("batched") == "batched_rss_mb"
 
     def test_ch7_group_registered_but_not_default(self):
         assert "ch7_scale" in GROUP_RUNNERS
@@ -60,15 +59,15 @@ class TestGeneratedReport:
                 os.environ[artifacts.CACHE_DIR_ENV] = saved
 
     def test_schema_version(self, report):
-        assert report["schema"] == "repro-perf-report/7"
+        assert report["schema"] == "repro-perf-report/8"
         assert isinstance(report["rss_resettable"], bool)
 
-    def test_all_six_timing_fields(self, report):
+    def test_all_five_timing_fields(self, report):
         entry = report["groups"]["ch3_churn"]
         for field in _MODE_FIELDS.values():
             assert entry[field] > 0
         assert entry["outputs_identical"] is True
-        assert entry["speedup_sparse_vs_warm"] > 0
+        assert "sparse_s" not in entry and "speedup_sparse_vs_warm" not in entry
 
     def test_rss_field_per_mode(self, report):
         entry = report["groups"]["ch3_churn"]

@@ -23,7 +23,6 @@ from repro.harness.scale import (
     scale_tree_metrics,
     scale_ts_config,
 )
-from repro.harness.substrates import _transit_stub_attachments
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import (
@@ -31,6 +30,8 @@ from repro.topology.transit_stub import (
     generate_transit_stub,
     generate_transit_stub_arrays,
 )
+
+from tests.oracles import transit_stub_attachments
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -44,7 +45,7 @@ def _underlays(seed=11, n_hosts=24):
     """The same substrate served lazily and sparsely."""
     arr = generate_transit_stub_arrays(TINY_TS, seed=seed)
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     lazy = RouterUnderlay(graph, attachments)
     sparse = SparseUnderlay(
         arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments

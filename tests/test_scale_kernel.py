@@ -27,7 +27,6 @@ from repro.harness.scale import (
     prim_mst_parents,
     scale_tree_metrics,
 )
-from repro.harness.substrates import _transit_stub_attachments
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import (
@@ -35,6 +34,9 @@ from repro.topology.transit_stub import (
     generate_transit_stub,
     generate_transit_stub_arrays,
 )
+
+from tests.helpers import bounded_regime
+from tests.oracles import transit_stub_attachments
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -46,18 +48,23 @@ TINY_TS = TransitStubConfig(
 
 @lru_cache(maxsize=None)
 def _sparse(seed: int, n_hosts: int = 32) -> SparseUnderlay:
+    # Bounded regime, so the kernel's rows really flow through the block
+    # prefetcher (a resident underlay leaves every plan empty).
     arr = generate_transit_stub_arrays(TINY_TS, seed=seed)
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
-    return SparseUnderlay(
-        arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
-    )
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
+    with bounded_regime():
+        underlay = SparseUnderlay(
+            arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
+        )
+    assert underlay.regime == "bounded"
+    return underlay
 
 
 @lru_cache(maxsize=None)
 def _lazy(seed: int, n_hosts: int = 32) -> RouterUnderlay:
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     return RouterUnderlay(graph, attachments)
 
 

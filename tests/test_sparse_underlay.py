@@ -1,15 +1,16 @@
-"""SparseUnderlay equivalence: sparse answers == lazy/dense, bit for bit.
+"""SparseUnderlay equivalence: bounded answers == lazy/resident, bit for bit.
 
 The sparse engine (PR 8) is only allowed to change *how much memory*
 shortest paths cost, never *what* any query returns — in its default
-exact mode.  This suite pins that with a hypothesis sweep over random
-substrates (every ordered host pair compared against both the lazy
-``RouterUnderlay`` and the dense ``CompiledUnderlay`` oracles), checks
-the LRU row cache is a transparent policy knob, round-trips the sparse
-artifact format, verifies ``link_error_array`` reproduces the
-graph-order error draws on triplet arrays, and — for the opt-in landmark
-approximation — asserts the *declared* error bound empirically and that
-the exactness flag keeps it dormant by default.
+exact mode.  This suite pins its bounded regime (demand LRU plus
+prefetch) with a hypothesis sweep over random substrates (every ordered
+host pair compared against both the lazy ``RouterUnderlay`` and the
+resident regime), checks the LRU row cache is a transparent policy knob,
+round-trips the sparse artifact format, verifies ``link_error_array``
+reproduces the graph-order error draws on triplet arrays, and — for the
+opt-in landmark approximation — asserts the *declared* error bound
+empirically and that the exactness flag keeps it dormant by default.
+The resident regime's own suite is ``tests/test_compiled_underlay.py``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.substrates import (
-    _transit_stub_attachments,
     build_transit_stub_underlay,
     default_landmark_count,
 )
-from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay, select_landmarks
 from repro.topology.linkmodel import (
@@ -39,7 +38,8 @@ from repro.topology.transit_stub import (
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
 
-from tests.oracles import build_lazy_transit_stub_underlay
+from tests.helpers import bounded_regime
+from tests.oracles import build_lazy_transit_stub_underlay, transit_stub_attachments
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -57,7 +57,7 @@ MID_TS = TransitStubConfig(
 
 
 def _build(seed, n_hosts, errors, ts=TINY_TS, **sparse_kwargs):
-    """The same topology + attachments through all three implementations."""
+    """The same topology + attachments as ``(lazy, resident, bounded)``."""
     arr = generate_transit_stub_arrays(ts, seed=spawn_rng(seed, "topology"))
     graph = generate_transit_stub(ts, seed=spawn_rng(seed, "topology"))
     edge_error = None
@@ -70,20 +70,26 @@ def _build(seed, n_hosts, errors, ts=TINY_TS, **sparse_kwargs):
             errors,
             seed=spawn_rng(seed, "errors"),
         )
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     lazy = RouterUnderlay(graph, attachments)
-    compiled = CompiledUnderlay(graph, attachments)
-    sparse = SparseUnderlay(
-        arr.n_nodes,
-        arr.edge_u,
-        arr.edge_v,
-        arr.edge_delay,
-        attachments,
-        edge_error=edge_error,
-        router_domain=arr.transit_domain,
-        **sparse_kwargs,
-    )
-    return lazy, compiled, sparse
+
+    def sparse():
+        return SparseUnderlay(
+            arr.n_nodes,
+            arr.edge_u,
+            arr.edge_v,
+            arr.edge_delay,
+            attachments,
+            edge_error=edge_error,
+            router_domain=arr.transit_domain,
+            **sparse_kwargs,
+        )
+
+    resident = sparse()
+    with bounded_regime():
+        bounded = sparse()
+    assert (resident.regime, bounded.regime) == ("resident", "bounded")
+    return lazy, resident, bounded
 
 
 def _assert_equivalent(ref, sparse):
@@ -109,14 +115,15 @@ class TestEquivalence:
     )
     def test_sparse_matches_both_oracles_bitwise(self, seed, n_hosts, max_error):
         errors = None if max_error is None else LinkErrorConfig(max_error=max_error)
-        lazy, compiled, sparse = _build(seed, n_hosts, errors)
+        lazy, resident, sparse = _build(seed, n_hosts, errors)
         _assert_equivalent(lazy, sparse)
-        _assert_equivalent(compiled, sparse)
+        _assert_equivalent(resident, sparse)
 
     def test_delay_row_matches_compiled(self):
-        _, compiled, sparse = _build(7, 12, None)
+        # "compiled" = the resident regime's up-front rows
+        _, resident, sparse = _build(7, 12, None)
         for a in sorted(sparse.attachments):
-            assert sparse.delay_row(a) == compiled.delay_row(a)
+            assert sparse.delay_row(a) == resident.delay_row(a)
 
     def test_link_queries_match(self):
         lazy, _, sparse = _build(13, 8, LinkErrorConfig(max_error=0.05))
@@ -126,6 +133,25 @@ class TestEquivalence:
                 for link in sparse.path_links(a, b):
                     assert sparse.link_delay(link) == lazy.link_delay(link)
                     assert sparse.link_error(link) == lazy.link_error(link)
+
+    @pytest.mark.parametrize(
+        "errors", [None, LinkErrorConfig(max_error=0.05)], ids=["lossless", "lossy"]
+    )
+    def test_unknown_router_link_raises(self, errors):
+        # link_error must honor the Underlay contract like link_delay:
+        # a router link that does not exist is a KeyError, never 0.0.
+        lazy, resident, bounded = _build(13, 8, errors)
+        absent = next(
+            ("router", 0, v) for v in range(1, 60) if not lazy.graph.has_edge(0, v)
+        )
+        for link in (absent, ("router", 0, 10**6), ("router", 10**6, 0)):
+            with pytest.raises(KeyError):
+                lazy.link_error(link)
+            for underlay in (resident, bounded):
+                with pytest.raises(KeyError, match="unknown link id"):
+                    underlay.link_delay(link)
+                with pytest.raises(KeyError, match="unknown link id"):
+                    underlay.link_error(link)
 
     def test_host_domain_matches(self):
         lazy, _, sparse = _build(3, 10, None)
@@ -195,7 +221,7 @@ class TestLandmarks:
         # REPRO_SPARSE_EXACT defaults to 1: landmarks present but dormant.
         arr = generate_transit_stub_arrays(MID_TS, seed=9)
         graph = generate_transit_stub(MID_TS, seed=9)
-        attachments = _transit_stub_attachments(graph, 12, 9)
+        attachments = transit_stub_attachments(graph, 12, 9)
         landmarks = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 13)
         sparse = SparseUnderlay(
             arr.n_nodes,
@@ -213,7 +239,7 @@ class TestLandmarks:
         monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
         arr = generate_transit_stub_arrays(MID_TS, seed=17)
         graph = generate_transit_stub(MID_TS, seed=17)
-        attachments = _transit_stub_attachments(graph, 20, 17)
+        attachments = transit_stub_attachments(graph, 20, 17)
         landmarks = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 13)
         sparse = SparseUnderlay(
             arr.n_nodes,
@@ -225,6 +251,7 @@ class TestLandmarks:
             error_bound=2.0,
         )
         assert not sparse.exact
+        assert sparse.regime == "bounded"  # approximate rows are never resident
         exact = RouterUnderlay(graph, attachments)
         hosts = sorted(attachments)
         for a in hosts:
@@ -264,7 +291,7 @@ class TestArtifactRoundtrip:
     def test_roundtrip_preserves_landmarks_and_domains(self, tmp_path):
         arr = generate_transit_stub_arrays(TINY_TS, seed=3)
         graph = generate_transit_stub(TINY_TS, seed=3)
-        attachments = _transit_stub_attachments(graph, 6, 3)
+        attachments = transit_stub_attachments(graph, 6, 3)
         sparse = SparseUnderlay(
             arr.n_nodes,
             arr.edge_u,
@@ -298,23 +325,14 @@ class TestBuilders:
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_SPARSE_UNDERLAY", raising=False)
         monkeypatch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
 
     def test_explicit_sparse_argument(self):
+        # The retired selector keyword is still accepted, and ignored.
         ul = build_transit_stub_underlay(
             n_hosts=6, seed=1, ts_config=TINY_TS, sparse=True
         )
         assert isinstance(ul, SparseUnderlay)
-
-    def test_env_flag_selects_sparse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_UNDERLAY", "1")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert isinstance(ul, SparseUnderlay)
-
-    def test_default_stays_dense(self):
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert isinstance(ul, CompiledUnderlay)
 
     def test_builder_sparse_matches_builder_lazy(self):
         # End-to-end builder parity: same seed, same link errors, the
@@ -341,41 +359,7 @@ class TestBuilders:
         _assert_equivalent(first, second)
 
 
-class TestDtypeKnob:
-    @pytest.fixture(autouse=True)
-    def isolated_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-
-    def test_float32_narrows_compiled_arrays(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert ul._hdelay.dtype == np.float32
-
-    def test_float32_values_close_but_outside_envelope(self, monkeypatch):
-        wide = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        narrow = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        hosts = sorted(wide.attachments)
-        a, b = hosts[0], hosts[-1]
-        assert narrow.delay_ms(a, b) == pytest.approx(wide.delay_ms(a, b), rel=1e-6)
-
-    def test_bad_dtype_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float16")
-        from repro.util.envflags import substrate_dtype
-
-        with pytest.raises(ValueError):
-            substrate_dtype()
-
-    def test_perf_report_refuses_narrowed_runs(self, monkeypatch, tmp_path):
-        from repro.harness.perfreport import generate_perf_report
-        from repro.harness.presets import PRESETS
-
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        with pytest.raises(RuntimeError, match="float32"):
-            generate_perf_report(
-                PRESETS["smoke"], groups=["ch3_churn"], path=tmp_path / "x.json"
-            )
-
+class TestExactnessRefusal:
     def test_perf_report_refuses_inexact_sparse(self, monkeypatch, tmp_path):
         from repro.harness.perfreport import generate_perf_report
         from repro.harness.presets import PRESETS
@@ -504,7 +488,7 @@ class TestRowPrefetch:
         monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
         arr = generate_transit_stub_arrays(TINY_TS, seed=3)
         graph = generate_transit_stub(TINY_TS, seed=3)
-        attachments = _transit_stub_attachments(graph, 12, 3)
+        attachments = transit_stub_attachments(graph, 12, 3)
         sparse = SparseUnderlay(
             arr.n_nodes,
             arr.edge_u,
