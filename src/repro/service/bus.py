@@ -32,10 +32,12 @@ class Pulse:
     """A shared activity counter: the driver's quiescence signal.
 
     Every component that makes asyncio-visible progress (publish, deliver,
-    timer fire, gate change, worker exit) calls :meth:`bump`; the driver
-    keeps yielding to the loop until the count stops moving, and only
-    then advances virtual time.  The count itself is deterministic, which
-    makes the driver's interleaving deterministic.
+    timer fire, gate change, worker exit) calls :meth:`bump`.  The driver
+    keeps yielding to the loop while work is pending, until the count
+    stands still across two consecutive yields (or nothing is runnable),
+    and only then advances virtual time.  A still count does not mean
+    every callback has run — one can stay queued for the next turn — but
+    the count is deterministic, so this rule fixes the interleaving.
     """
 
     __slots__ = ("count",)

@@ -4,7 +4,8 @@ The service's coroutines never touch the wall clock: every ``sleep`` and
 every timeout registers a cancellable event on the session's
 :class:`~repro.sim.engine.Simulator` and suspends on an asyncio future
 the event resolves.  The runtime's driver fires simulator events only
-when the asyncio loop is quiescent, so awaiting
+after the asyncio loop has quiesced, and fires them back to back until
+one resolves a future (a timer firing is such an event), so awaiting
 ``clock.sleep(5)`` costs zero wall time and — more importantly — always
 resumes at exactly the same point in the deterministic event order.
 

@@ -14,10 +14,13 @@ Architecture (one :class:`ServiceRuntime` = one live run):
   out;
 * the **driver** interleaves the asyncio loop with the discrete-event
   simulator: it yields to asyncio until the shared pulse counter stops
-  moving (quiescence), then fires exactly one simulator event.  Asyncio's
-  ready queue is FIFO and every await in the service sleeps on the
-  simulator, so the interleaving — and therefore the whole run — is a
-  pure function of the config;
+  moving or nothing is runnable (quiescence), then fires simulator events
+  back to back until one of them queues an asyncio callback (a resolved
+  timer, join or bus future) or a drain is requested.  An event that
+  wakes no task needs no loop turn, so batching them changes nothing but
+  the wall time.  Asyncio's ready queue is FIFO and every await in the
+  service sleeps on the simulator, so the interleaving — and therefore
+  the whole run — is a pure function of the config;
 * **health probes** (bus gates, tree legality + orphan set, admission
   depth) run on a virtual-time cadence and integrate time-in-degraded;
 * **chaos** (:class:`repro.harness.chaos.ServiceChaosRule`) strikes at
@@ -50,7 +53,7 @@ import dataclasses
 import json
 import math
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro.factories import vdm
@@ -342,35 +345,55 @@ class ServiceRuntime:
 
     # -- the asyncio side ------------------------------------------------------
 
-    async def _quiesce(self) -> None:
-        """Yield to the loop until the pulse counter settles."""
+    async def _quiesce(self, ready: deque) -> None:
+        """Yield to the loop until the pulse settles or nothing is runnable.
+
+        A resume to an empty ``ready`` queue ends the wait at once: every
+        further turn would run only this driver and leave the pulse still.
+        """
         idle = 0
         while idle < 2:
             before = self.pulse.count
             await asyncio.sleep(0)
+            if not ready:
+                return
             idle = idle + 1 if self.pulse.count == before else 0
 
     async def _drive(self) -> None:
-        """Interleave asyncio quiescence with simulator events."""
+        """Interleave asyncio quiescence with batches of simulator events.
+
+        After each quiescence the driver fires events back to back while
+        the loop's ready queue stays empty: such an event woke no task, so
+        yielding after it would only spin idle turns.  The batch ends at
+        the first event that queues a callback (a resolved future always
+        does), or when a drain is requested.
+        """
+        # CPython's BaseEventLoop keeps runnable callbacks in this deque
+        # (3.10-3.13); it is the one private loop attribute the driver reads.
+        ready = asyncio.get_running_loop()._ready
         try:
             last = self.sim.now
             while not self._finished:
-                await self._quiesce()
+                await self._quiesce(ready)
                 if self._finished:
                     break
                 if self._drain_requested and not self._draining:
                     self._begin_drain()
                     continue
-                if not self.sim.step():
-                    raise RuntimeError(
-                        "service runtime stalled: asyncio is quiescent, the "
-                        "event queue is empty, and the run is not finished"
-                    )
-                if self._pace_s > 0:
-                    wall = (self.sim.now - last) * self._pace_s
-                    if wall > 0:
-                        time.sleep(min(wall, 0.25))
-                last = self.sim.now
+                while True:
+                    if not self.sim.step():
+                        raise RuntimeError(
+                            "service runtime stalled: asyncio is quiescent, "
+                            "the event queue is empty, and the run is not "
+                            "finished"
+                        )
+                    if self._pace_s > 0:
+                        wall = (self.sim.now - last) * self._pace_s
+                        if wall > 0:
+                            time.sleep(min(wall, 0.25))
+                    last = self.sim.now
+                    if ready or (self._drain_requested and not self._draining):
+                        break
         except BaseException:
             # Cancel the orchestrator so a driver failure (invariant
             # violation, stall) surfaces instead of deadlocking the loop.
